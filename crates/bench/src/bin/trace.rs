@@ -13,18 +13,22 @@
 //! * `--check` — validate the exported trace (well-formed complete and
 //!   counter events, monotone timestamps, cache-outcome args, ≥ 90 %
 //!   critical-path coverage, ≥ 90 % of allocated bytes attributed to
-//!   spans); non-zero exit on any failure
+//!   spans) and the JSONL event stream against the manifest (every line
+//!   parses, one `span_end` per run for each pipeline stage, a `study`
+//!   root, stage tree within 10 % of wall-clock); non-zero exit on any
+//!   failure
 //!
 //! The study runs with the tracking allocator on, so the attribution
 //! report carries self-alloc columns, the trace JSON carries a
 //! `memory.live_bytes` counter track, and the run manifest (written next
 //! to the trace as `<out>-manifest.json`) carries the per-stage
-//! allocation tree.
+//! allocation tree. Events go to `RAMP_EVENTS` when set, else next to the
+//! trace as `<out>-events.jsonl`.
 //!
 //! The exit code is 0 on success and 1 when `--check` finds a violation,
 //! so CI can gate on it directly.
 
-use ramp_core::{run_study, StudyConfig};
+use ramp_core::{run_study, RunManifest, StudyConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -56,6 +60,15 @@ fn main() -> ExitCode {
         .unwrap_or(ramp_obs::DEFAULT_RING_CAPACITY);
     let top = flag_value("--top").and_then(|v| v.parse().ok()).unwrap_or(12);
     ramp_obs::install_trace(Some(&out), capacity);
+    // Always write an event stream: `--check` validates it against the
+    // manifest.
+    if ramp_obs::event_file_path().is_none() {
+        let filter = ramp_obs::Filter::from_env()
+            .with_default_at_least(ramp_obs::Level::Debug);
+        ramp_obs::install_jsonl(&sibling(&out, "events.jsonl"), filter)
+            .expect("create JSONL event file");
+    }
+    ramp_obs::reset_spans();
 
     let config = if has_flag("--full") {
         StudyConfig::default()
@@ -81,7 +94,7 @@ fn main() -> ExitCode {
     // the per-stage allocation attribution of this run, and its global
     // ledger section only exists while tracking is still on — capture
     // before the toggle flips back.
-    let manifest = ramp_core::RunManifest::capture(&config, &results);
+    let manifest = RunManifest::capture(&config, &results);
 
     ramp_obs::set_alloc_tracking(false);
     let alloc_after = ramp_obs::alloc_stats();
@@ -93,7 +106,7 @@ fn main() -> ExitCode {
     let stats = ramp_obs::ring_stats();
     let report = ramp_obs::critical_path_report(&spans, top);
 
-    let manifest_path = manifest_path(&out);
+    let manifest_path = sibling(&out, "manifest.json");
     if let Err(e) = manifest.write_json(&manifest_path) {
         eprintln!("trace: manifest write failed: {e}");
     }
@@ -132,18 +145,19 @@ fn main() -> ExitCode {
     print!("{}", report.flame);
 
     if has_flag("--check") {
-        return check(&out, &report, &spans, alloc_delta.alloc_bytes);
+        return check(&out, &manifest, &report, &spans, alloc_delta.alloc_bytes);
     }
     ExitCode::SUCCESS
 }
 
-/// `target/ramp-trace.json` → `target/ramp-trace-manifest.json`.
-fn manifest_path(out: &std::path::Path) -> PathBuf {
+/// `target/ramp-trace.json` + `manifest.json` →
+/// `target/ramp-trace-manifest.json`.
+fn sibling(out: &std::path::Path, suffix: &str) -> PathBuf {
     let stem = out
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("ramp-trace");
-    out.with_file_name(format!("{stem}-manifest.json"))
+    out.with_file_name(format!("{stem}-{suffix}"))
 }
 
 /// Fraction of the study's allocated bytes the report attributed to
@@ -158,6 +172,7 @@ fn alloc_share(report: &ramp_obs::CriticalPathReport, allocated: u64) -> f64 {
 /// Validates the exported trace end to end; prints one line per check.
 fn check(
     out: &std::path::Path,
+    manifest: &RunManifest,
     report: &ramp_obs::CriticalPathReport,
     spans: &[ramp_obs::CompletedSpan],
     allocated_bytes: u64,
@@ -250,6 +265,10 @@ fn check(
             allocated_bytes as f64 / (1024.0 * 1024.0)
         ),
     );
+    match validate_events(manifest) {
+        Ok(summary) => assert_that(true, &summary),
+        Err(err) => assert_that(false, &err),
+    }
     if failures == 0 {
         println!("check: all trace checks passed");
         ExitCode::SUCCESS
@@ -257,4 +276,69 @@ fn check(
         println!("check: {failures} trace check(s) FAILED");
         ExitCode::FAILURE
     }
+}
+
+/// The manifest must reference a real, well-formed JSONL event file whose
+/// span coverage matches the runs that executed, and the manifest's stage
+/// tree must account for the study wall-clock.
+fn validate_events(manifest: &RunManifest) -> Result<String, String> {
+    let path = manifest
+        .event_file
+        .as_ref()
+        .ok_or("manifest has no event_file")?;
+    let raw = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read event file {path}: {e}"))?;
+
+    let mut lines = 0u64;
+    for (i, line) in raw.lines().enumerate() {
+        serde_json::from_str::<serde::Value>(line)
+            .map_err(|e| format!("line {} is not valid JSON: {e}: {line}", i + 1))?;
+        lines += 1;
+    }
+    if lines == 0 {
+        return Err("event file is empty".into());
+    }
+
+    // One span per pipeline stage per (app, node) run. The encoder is ours,
+    // so exact substring matching on the key fields is reliable.
+    let span_ends = |name: &str| -> u64 {
+        let needle = format!("\"name\":\"{name}\"");
+        raw.lines()
+            .filter(|l| l.contains("\"type\":\"span_end\"") && l.contains(&needle))
+            .count() as u64
+    };
+    for stage in ["run", "timing", "first_pass", "second_pass"] {
+        let got = span_ends(stage);
+        if got < manifest.runs {
+            return Err(format!(
+                "only {got} span_end events for stage {stage:?}, expected >= {} (one per run)",
+                manifest.runs
+            ));
+        }
+    }
+    if span_ends("study") < 1 {
+        return Err("no span_end event for the study root".into());
+    }
+
+    // The aggregated stage tree must account for the study wall-clock.
+    let study_seconds = manifest.stage_seconds("study");
+    let wall = manifest.wall_seconds;
+    if wall <= 0.0 {
+        return Err("manifest wall_seconds is not positive".into());
+    }
+    let rel_err = (study_seconds - wall).abs() / wall;
+    if rel_err > 0.10 {
+        return Err(format!(
+            "stage tree root ({study_seconds:.3}s) disagrees with wall-clock ({wall:.3}s) \
+             by {:.1}% (> 10%)",
+            rel_err * 100.0
+        ));
+    }
+
+    Ok(format!(
+        "validated {lines} JSONL lines; {} runs with full stage coverage; \
+         stage tree within {:.1}% of {wall:.2}s wall",
+        manifest.runs,
+        rel_err * 100.0
+    ))
 }

@@ -11,6 +11,14 @@ use ramp_bench::telemetry::{
 };
 use ramp_core::{fnv1a_hex, run_study, StudyConfig};
 
+/// Serializes the tests that run studies: the harness clears the
+/// process-wide timing cache and span registry before each sample, so a
+/// concurrent study would take over its cold-start misses and stages.
+fn study_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// A reduced workload so the harness runs twice in a debug-build test.
 fn small_config() -> StudyConfig {
     StudyConfig::quick()
@@ -20,6 +28,7 @@ fn small_config() -> StudyConfig {
 
 #[test]
 fn results_bytes_identical_with_telemetry_on_and_off() {
+    let _serial = study_lock();
     // Telemetry off: a bare study, no harness, no spans reset, no
     // manifests. This is the reference byte stream.
     let config = small_config();
@@ -50,6 +59,7 @@ fn results_bytes_identical_with_telemetry_on_and_off() {
 
 #[test]
 fn harness_produces_complete_telemetry() {
+    let _serial = study_lock();
     let opts = HarnessOptions {
         samples: 2,
         warmup: false,
@@ -125,6 +135,7 @@ fn harness_produces_complete_telemetry() {
 
 #[test]
 fn snapshot_survives_disk_roundtrip_and_gates_against_itself() {
+    let _serial = study_lock();
     let opts = HarnessOptions::smoke();
     let m = run_harness(&small_config(), &opts).expect("harness runs");
     let snapshot = capture_snapshot(&m, 7);

@@ -27,7 +27,7 @@
 //! For a fixed [`FleetConfig`], [`run_fleet`]'s
 //! [`FleetResults::population_json`] is byte-identical across thread
 //! counts, chunk sizes, and reruns. Enforced by
-//! `tests/fleet_determinism.rs` and the `fleet-smoke` CI job.
+//! `tests/determinism.rs` and the `fleet-smoke` CI job.
 //!
 //! # Examples
 //!

@@ -9,7 +9,7 @@
 //!   `RAMP_LOG` (see [`Filter`]).
 //! - **Spans** ([`span!`], [`SpanGuard`]) — nested timing scopes that feed
 //!   both the sinks (as `span_start`/`span_end` events) and the collapsed
-//!   profile registry ([`profile_report`]).
+//!   per-path registry ([`span_tree`]).
 //! - **Metrics** ([`counter`], [`gauge`], [`histogram`]) — process-wide
 //!   atomics snapshotted into run manifests.
 //! - **Sinks** ([`Sink`], [`install_stderr`], [`install_jsonl`]) — where
@@ -58,7 +58,7 @@ pub use metrics::{
     diff_metric_snapshots, gauge, gauge_value, histogram, metrics_snapshot, reset_metrics,
     Counter, Gauge, Histogram, MetricDelta, MetricSnapshot, MetricValue,
 };
-pub use profile::{profile_report, reset_spans, span_stats, span_tree, SpanNode, SpanPathStats};
+pub use profile::{reset_spans, span_stats, span_tree, SpanNode, SpanPathStats};
 pub use ring::{ring_snapshot, ring_stats, tracing_enabled, CompletedSpan, RingStats, SpanRing,
     DEFAULT_RING_CAPACITY};
 pub use sink::{

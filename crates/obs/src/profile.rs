@@ -1,10 +1,9 @@
-//! Aggregated span statistics and the collapsed flamegraph-style report.
+//! Aggregated span statistics.
 //!
 //! Every ended span folds its `(path, duration)` into a global registry
 //! keyed by the full `/`-joined path — the same collapsing a flamegraph
-//! performs. [`span_stats`] exposes the flat view, [`span_tree`] rebuilds
-//! the hierarchy, and [`profile_report`] renders it as an indented text
-//! tree with counts, totals, and percent-of-parent.
+//! performs. [`span_stats`] exposes the flat view and [`span_tree`]
+//! rebuilds the hierarchy (the run manifest's stage tree).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -133,60 +132,7 @@ fn insert(nodes: &mut Vec<SpanNode>, parent_path: &str, rest: &str, stat: &SpanP
     }
 }
 
-/// Renders the span tree as an indented flamegraph-style text report:
-///
-/// ```text
-/// study                       1×   12.345 s  100.0%
-///   run                      80×   12.101 s   98.0%
-///     timing                 80×    1.204 s    9.9%
-/// ```
-///
-/// Each line shows the node's summed wall-clock and its percentage of the
-/// parent's. Because worker spans run concurrently, children under a
-/// parallel phase can legitimately sum to **more** than 100% of their
-/// parent — the overshoot is the measured parallel speedup. Synthetic
-/// parents that never ended as spans themselves (count 0) inherit the sum
-/// of their children.
-#[must_use]
-pub fn profile_report() -> String {
-    let tree = span_tree();
-    let mut out = String::new();
-    out.push_str("span tree (collapsed by path; % of parent; >100% = parallelism)\n");
-    if tree.is_empty() {
-        out.push_str("  <no spans recorded>\n");
-        return out;
-    }
-    for root in &tree {
-        render(&mut out, root, 0, own_ns(root));
-    }
-    out
-}
-
-/// A node's wall-clock: its own summed span time, or — for synthetic
-/// parents that never ended as spans — the rollup of its children.
-fn own_ns(node: &SpanNode) -> u64 {
-    if node.count > 0 {
-        node.total_ns
-    } else {
-        node.children.iter().map(own_ns).sum()
-    }
-}
-
-fn render(out: &mut String, node: &SpanNode, depth: usize, parent_ns: u64) {
-    let own = own_ns(node);
-    let pct = 100.0 * own as f64 / parent_ns.max(1) as f64;
-    let label = format!("{:indent$}{}", "", node.name, indent = depth * 2);
-    let secs = own as f64 / 1e9;
-    out.push_str(&format!(
-        "{label:<40} {:>7}x {:>10.3} s {:>6.1}%\n",
-        node.count, secs, pct
-    ));
-    for child in &node.children {
-        render(out, child, depth + 1, own.max(1));
-    }
-}
-
-/// Clears the aggregated span registry (tests and repeated profile runs).
+/// Clears the aggregated span registry (tests and repeated runs).
 pub fn reset_spans() {
     spans().clear();
 }
@@ -214,16 +160,6 @@ mod tests {
         assert_eq!(timing.total_ns, 5_000_000);
         assert_eq!(timing.alloc_count, 5, "alloc counts aggregate per path");
         assert_eq!(timing.alloc_bytes, 500);
-    }
-
-    #[test]
-    fn report_contains_every_path_segment() {
-        record_span("rtest/alpha", Duration::from_millis(1), 0, 0);
-        record_span("rtest/beta", Duration::from_millis(1), 0, 0);
-        let report = profile_report();
-        assert!(report.contains("rtest"));
-        assert!(report.contains("alpha"));
-        assert!(report.contains("beta"));
     }
 
     #[test]

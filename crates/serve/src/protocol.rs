@@ -55,10 +55,12 @@ pub struct Request {
     /// (required for `query`).
     #[serde(default)]
     pub node: Option<String>,
-    /// Override of the engine's base instruction budget per run.
+    /// Override of the engine's base instruction budget per run (at
+    /// most 100 000 000; larger values are rejected).
     #[serde(default)]
     pub instructions: Option<u64>,
-    /// Override of the engine's base trace-repeat count.
+    /// Override of the engine's base trace-repeat count (at most 1 024;
+    /// larger values are rejected).
     #[serde(default)]
     pub trace_repeats: Option<u32>,
     /// Survival horizon in whole years (for `fleet`; defaults to 7,

@@ -48,6 +48,12 @@ const FLEET_MIN_CHIPS: u64 = 1_000;
 /// See [`FLEET_MIN_CHIPS`].
 const FLEET_MAX_CHIPS: u64 = 2_000_000;
 
+/// Upper bound on a query's `instructions` override: the paper's trace
+/// length. One request may not pin a worker for longer than that.
+const QUERY_MAX_INSTRUCTIONS: u64 = 100_000_000;
+/// Upper bound on a query's `trace_repeats` override.
+const QUERY_MAX_TRACE_REPEATS: u32 = 1_024;
+
 /// Default survival horizon for `fleet` requests, years.
 const FLEET_DEFAULT_YEARS: u32 = 7;
 
@@ -273,9 +279,19 @@ impl ServerState {
         })?;
         let mut query = self.engine.query(benchmark, node)?;
         if let Some(instructions) = request.instructions {
+            if instructions > QUERY_MAX_INSTRUCTIONS {
+                return Err(ServeError::Protocol(format!(
+                    "`instructions` must be at most {QUERY_MAX_INSTRUCTIONS} (got {instructions})"
+                )));
+            }
             query.pipeline.instructions = instructions;
         }
         if let Some(repeats) = request.trace_repeats {
+            if repeats > QUERY_MAX_TRACE_REPEATS {
+                return Err(ServeError::Protocol(format!(
+                    "`trace_repeats` must be at most {QUERY_MAX_TRACE_REPEATS} (got {repeats})"
+                )));
+            }
             query.pipeline.trace_repeats = repeats;
         }
         query.pipeline.validate()?;
@@ -747,6 +763,43 @@ mod tests {
         }
         assert_eq!(server.stats().executions, 0);
         assert_eq!(server.stats().errors, 5);
+    }
+
+    #[test]
+    fn oversized_what_ifs_error_promptly_and_the_server_keeps_serving() {
+        let server = Server::start(test_engine(), tiny_options());
+        let base = Request::query(1, "gzip", "180nm");
+        let too_long = Request {
+            instructions: Some(u64::MAX),
+            ..base.clone()
+        };
+        let too_many = Request {
+            trace_repeats: Some(QUERY_MAX_TRACE_REPEATS + 1),
+            ..base.clone()
+        };
+        for (request, field) in [(too_long, "instructions"), (too_many, "trace_repeats")] {
+            // An unbounded request would pin the worker, so wait for the
+            // answer on a deadline instead of blocking the test forever.
+            let client = server.connect();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let caller =
+                std::thread::spawn(move || tx.send(client.request_line(&request.to_line())));
+            let Ok(line) = rx.recv_timeout(std::time::Duration::from_secs(10)) else {
+                // The worker is pinned: dropping the server would join it.
+                std::mem::forget(server);
+                panic!("an oversized `{field}` request must be rejected promptly");
+            };
+            caller.join().expect("caller thread completes").unwrap();
+            let line = line.expect("server answers");
+            let response = Response::parse(&line).unwrap();
+            assert_eq!(response.status, STATUS_ERROR);
+            let error = response.error.unwrap();
+            assert!(error.contains(field), "error names the field: {error}");
+        }
+        assert_eq!(server.stats().executions, 0);
+        let answer = Response::parse(&server.handle_line(&base.to_line())).unwrap();
+        assert!(answer.is_ok(), "the same server answers a valid query");
+        assert_eq!(server.stats().executions, 1);
     }
 
     #[test]

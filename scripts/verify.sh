@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + full test suite with a locked dependency
-# graph, then the parallel-determinism contract at two thread counts.
+# graph, static analysis, the determinism matrix at two RAMP_THREADS
+# values, the obs/trace/alloc/bench/fleet/serve smokes, and a short run
+# of every benchmark workload.
 #
 # Usage: scripts/verify.sh
 # Exits non-zero on the first failure.
@@ -40,29 +42,27 @@ echo "ramp-lint: clean (report at target/ramp-lint-report.json, SARIF at target/
 echo "== static analysis: clippy (workspace lint table, warnings are errors) =="
 cargo clippy --release --workspace --all-targets --locked -- -D warnings
 
-echo "== determinism: study JSON byte-identical across thread counts =="
-# The test itself sweeps StudyConfig.threads in {1, 2, 8}; running the
-# binary under two RAMP_THREADS values additionally covers the env-var
-# path that the default configuration takes.
+echo "== determinism: byte-identical products across threads and observability =="
+# The matrix sweeps threads {1, 2, 8} x observability {off, log, alloc,
+# trace} x product {study, fleet, serve}; running the binary under two
+# RAMP_THREADS values additionally covers the env-var path that the
+# default configuration takes.
 for threads in 1 4; do
     echo "-- RAMP_THREADS=${threads}"
     RAMP_THREADS="${threads}" cargo test --release --locked -q \
-        --test parallel_determinism
+        --test determinism
 done
 
-echo "== observability: instrumented study, JSONL events, manifest =="
-# Runs a short study with tracing + metrics fully on, then validates that
-# the JSONL event stream parses, covers every pipeline stage, and that the
-# manifest's stage tree accounts for the wall-clock (within 10%).
+echo "== obs + trace smoke: JSONL events, manifest, trace export, critical path =="
+# Runs a traced quick study with debug logging, then validates the Chrome
+# Trace Event export (complete events, monotone timestamps, cache-outcome
+# args), that the critical path attributes >=90% of study wall-clock to
+# named spans, that the JSONL event stream parses and covers every
+# pipeline stage, and that the manifest's stage tree accounts for the
+# wall-clock (within 10%). The Perfetto-loadable trace lands in target/
+# for inspection and CI upload.
 RAMP_LOG=debug RAMP_EVENTS=target/obs-smoke-events.jsonl \
-    cargo run --release --locked -p ramp-bench --bin profile -- --check
-
-echo "== trace smoke: causal trace export + critical-path attribution =="
-# Runs a traced quick study, then validates the Chrome Trace Event export
-# (complete events, monotone timestamps, cache-outcome args) and that the
-# critical path attributes >=90% of study wall-clock to named spans. The
-# Perfetto-loadable trace lands in target/ for inspection and CI upload.
-cargo run --release --locked -p ramp-bench --bin trace -- \
+    cargo run --release --locked -p ramp-bench --bin trace -- \
     --check --out target/trace-smoke.json
 
 echo "== alloc smoke: tracking allocator on end to end =="
@@ -101,5 +101,24 @@ echo "== serve smoke: coalescing, cache, and admission contract =="
 cargo run --release --locked -p ramp-bench --bin serve_load -- \
     --assert --queries 48 --unique 4 --clients 8 \
     --out target/serve-metrics.json
+
+echo "== benchmark smoke: every workload builds, runs and checks its output =="
+# The repo benchmark (benchmark/, see BENCHMARK.json) is a separate
+# package on path deps: build it against the current crates, then run
+# each workload briefly. Its last line is a JSON record whose "correct"
+# field is the workload's own output check (digest, canary, failures).
+# --seconds 3, not 1: serve_mix needs >=400 requests for one window.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+for workload in study_5node study_1node_long fleet_population serve_mix; do
+    echo "-- ${workload}"
+    last=$(cargo run --quiet --release --offline --locked \
+        --manifest-path benchmark/Cargo.toml -- \
+        --workload "${workload}" --seconds 3 | tail -n 1)
+    echo "${last}"
+    case "${last}" in
+        *'"correct":true'*) ;;
+        *) echo "benchmark smoke: ${workload} is not correct" >&2; exit 1 ;;
+    esac
+done
 
 echo "verify: OK"

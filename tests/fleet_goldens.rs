@@ -1,6 +1,6 @@
 //! Golden-value regression tests over a fixed, deterministic fleet run.
 //!
-//! The fleet is byte-reproducible (see `fleet_determinism.rs`), so the
+//! The fleet is byte-reproducible (see `determinism.rs`), so the
 //! population statistics of a fixed `(engine, FleetConfig)` are stable
 //! numbers. These tests pin the physics inside bands rather than to exact
 //! bytes, so they survive intended calibration tweaks while catching

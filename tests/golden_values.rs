@@ -1,8 +1,7 @@
 //! Golden-value regression tests over a fixed, deterministic quick study.
 //!
-//! The whole stack is bit-reproducible (see `determinism.rs` and
-//! `parallel_determinism.rs`), so the headline aggregates of a fixed
-//! configuration are stable numbers. These tests pin them inside narrow
+//! The whole stack is bit-reproducible (see `determinism.rs`), so the
+//! headline aggregates of a fixed configuration are stable numbers. These tests pin them inside narrow
 //! tolerance bands: a drift means a model, calibration, or pipeline
 //! change — intended changes must re-measure the bands (run the ignored
 //! `print_current_values` helper with `--nocapture` to regenerate).
