@@ -1,15 +1,20 @@
 //! Reentrant reliability queries: the serving-path view of the pipeline.
 //!
-//! The batch study ([`crate::run_study`]) answers the paper's question for
-//! a whole benchmark × node grid at once. A long-running service instead
-//! answers it one `(workload, node)` pair at a time, against a fixed
-//! qualification. This module packages that shape:
+//! The paper's recipe lives here, once: calibrate at 180 nm (every
+//! mechanism at 1000 FIT averaged over the benchmarks), then run each
+//! scaled node under the constant-sink-temperature rule anchored to the
+//! same workload's 180 nm power. The batch study ([`crate::run_study`])
+//! is a client of [`QueryEngine`] and applies that recipe to a whole
+//! benchmark × node grid at once; `ramp-serve` and `ramp-fleet` apply it
+//! one `(workload, node)` pair at a time, against a fixed qualification.
+//! This module packages that shape:
 //!
 //! * [`ReliabilityQuery`] — one serialisable question with a stable
 //!   content digest (the cache/coalescing key used by `ramp-serve`);
 //! * [`QueryOutcome`] — the answer: absolute FIT, expected lifetime, and
 //!   qualification margin;
-//! * [`QueryEngine`] — a calibrated, cheap-to-clone evaluator. It holds
+//! * [`QueryEngine`] — the one owner of calibration and of the anchored
+//!   pipeline run; a calibrated, cheap-to-clone evaluator. It holds
 //!   only immutable shared state (`Arc`ed models, `Copy` qualification),
 //!   so clones are a few pointer copies, [`QueryEngine::evaluate`] takes
 //!   `&self` and may run concurrently from any number of threads, and
@@ -23,7 +28,7 @@ use crate::qualification::FitReport;
 use crate::rates::AveragedRates;
 use crate::study::StudyConfig;
 use crate::{Executor, NodeId, Qualification, RampError, TechNode, FIT_PER_MECHANISM};
-use ramp_trace::spec;
+use ramp_trace::{spec, BenchmarkProfile};
 use ramp_units::{Fit, Kelvin, Mttf, Watts, Years};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -119,10 +124,9 @@ pub struct PopulationAnchor {
 
 /// A calibrated reliability evaluator for the serving path.
 ///
-/// Built once from a [`StudyConfig`] (which fixes the qualification the
-/// same way the batch study does: 180 nm reference runs averaged over the
-/// configured benchmarks), then shared/cloned freely across server
-/// threads.
+/// Built once from a [`StudyConfig`] by the same calibration the batch
+/// study runs (180 nm reference runs averaged over the configured
+/// benchmarks), then shared/cloned freely across server threads.
 ///
 /// # Examples
 ///
@@ -136,7 +140,7 @@ pub struct PopulationAnchor {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
-    models: Arc<Vec<Box<dyn FailureModel>>>,
+    pub(crate) models: Arc<Vec<Box<dyn FailureModel>>>,
     qualification: Qualification,
     base: PipelineConfig,
     calibration_digest: String,
@@ -146,20 +150,14 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// Calibrates an engine by running the 180 nm reference pass of
     /// `config` (in parallel on `config.threads` workers) and deriving
-    /// the qualification constants from it, exactly as
-    /// [`crate::run_study`] phase 1–2 does.
+    /// the qualification constants from it; the calibration is shared
+    /// with [`crate::run_study`].
     ///
     /// # Errors
     ///
     /// Returns [`RampError::InvalidConfiguration`] for an empty benchmark
     /// list, or any error the reference runs / qualification produce.
     pub fn calibrate(config: &StudyConfig) -> Result<Self, RampError> {
-        if config.benchmarks.is_empty() {
-            return Err(RampError::InvalidConfiguration(
-                "query engine needs at least one calibration benchmark".into(),
-            ));
-        }
-        let models = standard_models();
         let executor = Executor::new(config.threads);
         let span = ramp_obs::span!(
             "query_calibrate",
@@ -167,24 +165,47 @@ impl QueryEngine {
             config.benchmarks.len(),
             executor.threads()
         );
+        let (engine, _) = Self::calibrate_runs(config, &executor)?;
+        span.finish();
+        Ok(engine)
+    }
+
+    /// The calibration itself: the 180 nm reference runs of `config` on
+    /// `executor` (in benchmark order, under a `reference` span), then
+    /// the qualification derived from them (under a `qualify` span).
+    /// Returns the calibrated engine together with the reference runs.
+    pub(crate) fn calibrate_runs(
+        config: &StudyConfig,
+        executor: &Executor,
+    ) -> Result<(Self, Vec<AppNodeRun>), RampError> {
+        if config.benchmarks.is_empty() {
+            return Err(RampError::InvalidConfiguration(
+                "calibration needs at least one benchmark".into(),
+            ));
+        }
+        // The reference runs need only the models; the unit constants are
+        // replaced by the qualification the runs produce.
+        let mut engine = Self::new(
+            Qualification::from_constants(PerMechanism::from_fn(|_| 1.0))
+                .map_err(RampError::Qualification)?,
+            config.pipeline.clone(),
+            config_digest(config),
+        );
+        let reference_span = ramp_obs::span!("reference");
         let reference_node = TechNode::reference();
         let runs: Vec<Result<AppNodeRun, RampError>> =
             executor.map(&config.benchmarks, |profile| {
-                run_app_on_node(profile, &reference_node, &config.pipeline, &models, None)
+                engine.run(profile, &reference_node, &config.pipeline, None)
             });
         let runs: Vec<AppNodeRun> = runs.into_iter().collect::<Result<_, _>>()?;
+        reference_span.finish();
+
+        let qualify_span = ramp_obs::span!("qualify");
         let rates: Vec<_> = runs.iter().map(|r| r.rates).collect();
-        let qualification =
+        engine.qualification =
             Qualification::from_reference_runs(&rates).map_err(RampError::Qualification)?;
-        span.finish();
-        Ok(QueryEngine {
-            models: Arc::new(models),
-            qualification,
-            base: config.pipeline.clone(),
-            calibration_digest: config_digest(config),
-            budget: Fit::new(FIT_PER_MECHANISM * MechanismKind::COUNT as f64)
-                .expect("paper budget constant is finite and positive"), // ramp-lint:allow(panic-hygiene) -- compile-time constant
-        })
+        qualify_span.finish();
+        Ok((engine, runs))
     }
 
     /// Builds an engine from an existing qualification and pipeline
@@ -195,11 +216,15 @@ impl QueryEngine {
         pipeline: PipelineConfig,
         calibration_tag: &str,
     ) -> Self {
+        Self::new(qualification, pipeline, fnv1a_hex(calibration_tag))
+    }
+
+    fn new(qualification: Qualification, base: PipelineConfig, calibration_digest: String) -> Self {
         QueryEngine {
             models: Arc::new(standard_models()),
             qualification,
-            base: pipeline,
-            calibration_digest: fnv1a_hex(calibration_tag),
+            base,
+            calibration_digest,
             budget: Fit::new(FIT_PER_MECHANISM * MechanismKind::COUNT as f64)
                 .expect("paper budget constant is finite and positive"), // ramp-lint:allow(panic-hygiene) -- compile-time constant
         }
@@ -312,25 +337,31 @@ impl QueryEngine {
     /// power (constant-sink rule).
     fn run_query(&self, query: &ReliabilityQuery) -> Result<AppNodeRun, RampError> {
         let profile = spec::profile(&query.benchmark)?;
-        let node = TechNode::get(query.node);
-        if query.node == NodeId::N180 {
-            run_app_on_node(&profile, &node, &query.pipeline, &self.models, None)
+        let anchor = if query.node == NodeId::N180 {
+            None
         } else {
-            let reference = run_app_on_node(
-                &profile,
-                &TechNode::reference(),
-                &query.pipeline,
-                &self.models,
-                None,
-            )?;
-            run_app_on_node(
-                &profile,
-                &node,
-                &query.pipeline,
-                &self.models,
-                Some(reference.avg_total()),
-            )
-        }
+            let reference = self.run(&profile, &TechNode::reference(), &query.pipeline, None)?;
+            Some(reference.avg_total())
+        };
+        self.run(
+            &profile,
+            &TechNode::get(query.node),
+            &query.pipeline,
+            anchor,
+        )
+    }
+
+    /// One pipeline run of `profile` at `node` with this engine's models.
+    /// `reference_power` is the workload's 180 nm power for a scaled node
+    /// (constant-sink rule) and `None` for the reference node itself.
+    pub(crate) fn run(
+        &self,
+        profile: &BenchmarkProfile,
+        node: &TechNode,
+        pipeline: &PipelineConfig,
+        reference_power: Option<Watts>,
+    ) -> Result<AppNodeRun, RampError> {
+        run_app_on_node(profile, node, pipeline, &self.models, reference_power)
     }
 
     /// Evaluates the average chip for `query` and packages everything a
@@ -488,27 +519,41 @@ mod tests {
     }
 
     #[test]
-    fn matches_study_recipe_for_scaled_runs() {
-        // evaluate() must reproduce run_study's constant-sink anchoring.
-        let engine = quick_engine();
-        let models = standard_models();
-        let profile = spec::profile("gzip").unwrap();
-        let cfg = engine.base_pipeline().clone();
-        let reference =
-            run_app_on_node(&profile, &TechNode::reference(), &cfg, &models, None).unwrap();
-        let direct = run_app_on_node(
-            &profile,
-            &TechNode::get(NodeId::N65HighV),
-            &cfg,
-            &models,
-            Some(reference.avg_total()),
-        )
-        .unwrap();
-        let report = engine.qualification().fit_report(&direct.rates);
-        let outcome = engine
-            .evaluate(&engine.query("gzip", NodeId::N65HighV).unwrap())
+    fn study_and_engine_agree() {
+        // The study is a client of the engine: every (app, node) cell it
+        // reports must be bit-identical to a standalone evaluation.
+        let config = StudyConfig::quick()
+            .with_benchmarks(&["gzip", "ammp"])
             .unwrap();
-        assert_eq!(outcome.total_fit, report.total());
-        assert_eq!(outcome.max_temperature, direct.max_temperature());
+        let results = crate::run_study(&config).unwrap();
+        let engine = QueryEngine::calibrate(&config).unwrap();
+        assert_eq!(*results.qualification(), engine.qualification());
+        assert_eq!(results.app_results().len(), 10);
+        for app in ["gzip", "ammp"] {
+            for node in NodeId::ALL {
+                let c = results.result(app, node).unwrap();
+                let o = engine.evaluate(&engine.query(app, node).unwrap()).unwrap();
+                let mut quantities = vec![
+                    ("total FIT", c.fit.total().value(), o.total_fit.value()),
+                    (
+                        "max temp",
+                        c.max_temperature().value(),
+                        o.max_temperature.value(),
+                    ),
+                    ("power", c.avg_total_power().value(), o.avg_power.value()),
+                ];
+                for m in MechanismKind::ALL {
+                    let fit = o.mechanism_fit[m]; // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism` is total
+                    quantities.push((m.label(), c.fit.mechanism_total(m).value(), fit.value()));
+                }
+                for (quantity, study, evaluated) in quantities {
+                    assert_eq!(
+                        study.to_bits(),
+                        evaluated.to_bits(),
+                        "{app} {node}: {quantity}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,24 +1,25 @@
 //! The full scaling study: 16 benchmarks × 5 technology points, plus
 //! worst-case operating-point analysis and reliability qualification.
 //!
-//! This is the driver behind every figure in the paper's evaluation:
+//! This is the driver behind every figure in the paper's evaluation. It
+//! is a client of [`QueryEngine`], which owns the recipe:
 //!
-//! 1. run all benchmarks at 180 nm;
-//! 2. qualify (each mechanism → 1000 FIT average across benchmarks);
-//! 3. re-run every benchmark at every scaled node with the
-//!    constant-sink-temperature rule anchored to its 180 nm power;
-//! 4. per node, synthesise the worst-case run (highest per-structure
+//! 1. calibrate the engine: run all benchmarks at 180 nm and qualify
+//!    (each mechanism → 1000 FIT average across benchmarks);
+//! 2. run every benchmark at every scaled node through the engine, with
+//!    the constant-sink-temperature rule anchored to its 180 nm power
+//!    from step 1;
+//! 3. per node, synthesise the worst-case run (highest per-structure
 //!    temperature and activity seen by any benchmark, held steady).
 
 use crate::executor::Executor;
-use crate::mechanisms::{standard_models, FailureModel};
-use crate::pipeline::{run_app_on_node, AppNodeRun, PipelineConfig, StageTimings};
+use crate::pipeline::{AppNodeRun, PipelineConfig, StageTimings};
 use crate::rates::RateAccumulator;
 use crate::results::{AppNodeResult, StudyMetrics, StudyResults, WorstCaseResult};
-use crate::{NodeId, OperatingPoint, Qualification, RampError, TechNode};
+use crate::{NodeId, OperatingPoint, QueryEngine, RampError, TechNode};
 use ramp_microarch::{timing_cache_stats, PerStructure, Structure};
 use ramp_trace::{spec, BenchmarkProfile};
-use ramp_units::{ActivityFactor, Watts};
+use ramp_units::ActivityFactor;
 
 /// How the per-node worst-case operating point is synthesised from the
 /// application runs.
@@ -118,17 +119,11 @@ impl StudyConfig {
 /// # Ok::<(), ramp_core::RampError>(())
 /// ```
 pub fn run_study(config: &StudyConfig) -> Result<StudyResults, RampError> {
-    if config.benchmarks.is_empty() {
-        return Err(RampError::InvalidConfiguration(
-            "study needs at least one benchmark".into(),
-        ));
-    }
     if !config.nodes.contains(&NodeId::N180) {
         return Err(RampError::InvalidConfiguration(
             "study must include the 180 nm reference node for qualification".into(),
         ));
     }
-    let models = standard_models();
     let executor = Executor::new(config.threads);
     // Root a causal trace on the config digest: the same study config
     // always yields the same trace id, so traces are comparable across
@@ -156,70 +151,49 @@ pub fn run_study(config: &StudyConfig) -> Result<StudyResults, RampError> {
     );
     let cache_before = timing_cache_stats();
 
-    // Phase 1: reference (180 nm) runs, in parallel over benchmarks.
-    let reference_node = TechNode::reference();
-    let reference_span = ramp_obs::span!("reference");
-    let ref_runs: Vec<Result<AppNodeRun, RampError>> =
-        executor.map(&config.benchmarks, |profile| {
-            run_app_on_node(profile, &reference_node, &config.pipeline, &models, None)
-        });
-    let ref_runs: Vec<AppNodeRun> = ref_runs.into_iter().collect::<Result<_, _>>()?;
-    reference_span.finish();
+    // Phase 1: calibration (180 nm reference runs, then qualification).
+    let (engine, ref_runs) = QueryEngine::calibrate_runs(config, &executor)?;
 
-    // Phase 2: qualification from the reference runs.
-    let qualify_span = ramp_obs::span!("qualify");
-    let rates: Vec<_> = ref_runs.iter().map(|r| r.rates).collect();
-    let qualification =
-        Qualification::from_reference_runs(&rates).map_err(RampError::Qualification)?;
-    qualify_span.finish();
-
-    // Phase 3: scaled nodes, anchored to each benchmark's 180 nm power.
-    let mut jobs: Vec<(BenchmarkProfile, NodeId, Watts)> = Vec::new();
+    // Phase 2: scaled nodes, anchored to each benchmark's 180 nm power.
+    let mut jobs: Vec<(&BenchmarkProfile, NodeId, &AppNodeRun)> = Vec::new();
     for (profile, ref_run) in config.benchmarks.iter().zip(&ref_runs) {
         for &node in &config.nodes {
             if node != NodeId::N180 {
-                jobs.push((profile.clone(), node, ref_run.avg_total()));
+                jobs.push((profile, node, ref_run));
             }
         }
     }
     let scaled_span = ramp_obs::span!("scaled", "jobs={}", jobs.len());
     let scaled: Vec<Result<AppNodeRun, RampError>> =
-        executor.map(&jobs, |(profile, node, ref_power)| {
-            run_app_on_node(
+        executor.map(&jobs, |(profile, node, ref_run)| {
+            engine.run(
                 profile,
                 &TechNode::get(*node),
                 &config.pipeline,
-                &models,
-                Some(*ref_power),
+                Some(ref_run.avg_total()),
             )
         });
     let scaled: Vec<AppNodeRun> = scaled.into_iter().collect::<Result<_, _>>()?;
     scaled_span.finish();
 
     // Collect all runs into results.
-    let mut app_results: Vec<AppNodeResult> = Vec::new();
-    for run in ref_runs.iter().chain(scaled.iter()) {
-        let suite = config
-            .benchmarks
-            .iter()
-            .find(|p| p.name == run.app)
-            .map(|p| p.suite)
-            .expect("run came from a configured benchmark"); // ramp-lint:allow(panic-hygiene) -- runs are generated from the configured benchmark list
-        app_results.push(AppNodeResult::from_run(
-            run,
-            suite,
-            qualification.fit_report(&run.rates),
-        ));
-    }
+    let qualification = engine.qualification();
+    let app_results: Vec<AppNodeResult> = config
+        .benchmarks
+        .iter()
+        .zip(&ref_runs)
+        .chain(jobs.iter().map(|(profile, ..)| *profile).zip(&scaled))
+        .map(|(profile, run)| {
+            AppNodeResult::from_run(run, profile.suite, qualification.fit_report(&run.rates))
+        })
+        .collect();
 
-    // Phase 4: per-node worst case.
+    // Phase 3: per-node worst case.
     let worst_span = ramp_obs::span!("worst_case");
     let worst = config
         .nodes
         .iter()
-        .map(|&node| {
-            worst_case_for_node(node, &app_results, &models, &qualification, config.worst_case)
-        })
+        .map(|&node| worst_case_for_node(node, &app_results, &engine, config.worst_case))
         .collect();
     worst_span.finish();
 
@@ -263,8 +237,7 @@ pub fn run_study(config: &StudyConfig) -> Result<StudyResults, RampError> {
 fn worst_case_for_node(
     node: NodeId,
     results: &[AppNodeResult],
-    models: &[Box<dyn FailureModel>],
-    qualification: &Qualification,
+    engine: &QueryEngine,
     mode: WorstCaseMode,
 ) -> WorstCaseResult {
     let tech = TechNode::get(node);
@@ -307,13 +280,13 @@ fn worst_case_for_node(
     let ops = PerStructure::from_fn(|s| {
         OperatingPoint::new(worst_temp[s], tech.vdd, worst_activity[s]) // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
     });
-    let mut acc = RateAccumulator::new(models, tech);
+    let mut acc = RateAccumulator::new(&engine.models, tech);
     acc.observe(&ops, 1.0);
     let rates = acc.finish();
     WorstCaseResult {
         node,
         max_temperature: rates.max_temperature(),
-        fit: qualification.fit_report(&rates),
+        fit: engine.qualification().fit_report(&rates),
     }
 }
 

@@ -64,11 +64,11 @@ pub struct Request {
     #[serde(default)]
     pub trace_repeats: Option<u32>,
     /// Survival horizon in whole years (for `fleet`; defaults to 7,
-    /// clamped to 1–30).
+    /// 1–30; other values are rejected).
     #[serde(default)]
     pub years: Option<u32>,
-    /// Population size for `fleet` (defaults to 100 000, clamped
-    /// server-side).
+    /// Population size for `fleet` (defaults to 100 000, 1 000 to
+    /// 2 000 000; other values are rejected).
     #[serde(default)]
     pub chips: Option<u64>,
     /// How many recent request traces a `trace` request returns

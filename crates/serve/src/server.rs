@@ -44,6 +44,7 @@ const FLEET_DEFAULT_CHIPS: u64 = 100_000;
 
 /// Server-side bounds on requested population size: enough chips for a
 /// stable DPPM estimate, few enough that one run stays interactive.
+/// Requests outside the range get an `error` response.
 const FLEET_MIN_CHIPS: u64 = 1_000;
 /// See [`FLEET_MIN_CHIPS`].
 const FLEET_MAX_CHIPS: u64 = 2_000_000;
@@ -371,10 +372,12 @@ impl ServerState {
                 ramp_fleet::YEAR_MARKS
             )));
         }
-        let chips = request
-            .chips
-            .unwrap_or(FLEET_DEFAULT_CHIPS)
-            .clamp(FLEET_MIN_CHIPS, FLEET_MAX_CHIPS);
+        let chips = request.chips.unwrap_or(FLEET_DEFAULT_CHIPS);
+        if !(FLEET_MIN_CHIPS..=FLEET_MAX_CHIPS).contains(&chips) {
+            return Err(ServeError::Protocol(format!(
+                "`chips` must be in {FLEET_MIN_CHIPS}..={FLEET_MAX_CHIPS} (got {chips})"
+            )));
+        }
         // The anchor cache key pins everything the population depends on
         // (calibration, benchmark content, node, pipeline config).
         let query = self.engine.query(benchmark, node)?;
@@ -902,6 +905,16 @@ mod tests {
         ] {
             let response = Response::parse(&server.handle_line(&line)).unwrap();
             assert_eq!(response.status, STATUS_ERROR, "{line}");
+        }
+        // An out-of-range population is rejected, not silently resized.
+        for chips in [0, FLEET_MAX_CHIPS + 1] {
+            let mut request = Request::fleet(6, "gzip", "180nm", Some(5));
+            request.chips = Some(chips);
+            let response = Response::parse(&server.handle_line(&request.to_line())).unwrap();
+            assert_eq!(response.status, STATUS_ERROR, "chips {chips}");
+            let error = response.error.unwrap();
+            assert!(error.contains("`chips`"), "error names the field: {error}");
+            assert!(error.contains(&FLEET_MAX_CHIPS.to_string()), "error names the range: {error}");
         }
     }
 

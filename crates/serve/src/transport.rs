@@ -10,9 +10,12 @@
 //! * [`UnixServer`] — a unix domain socket listener for out-of-process
 //!   clients (`nc -U`, scripts, sidecars). Accepts on a non-blocking
 //!   listener so shutdown is prompt; each connection gets a thread.
+//!   Request lines longer than [`MAX_LINE_BYTES`] get one `error`
+//!   response and the connection is closed.
 
+use crate::protocol::{encode_failure, STATUS_ERROR};
 use crate::server::{Server, ServerState};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,6 +23,11 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Longest request line the unix transport reads, in bytes, not counting
+/// the terminating newline. A peer that sends more without a newline
+/// cannot grow the server's line buffer past this.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// A bidirectional line connection, as seen from the server side.
 pub trait Connection: Send {
@@ -186,10 +194,19 @@ impl UnixConnection {
 
 impl Connection for UnixConnection {
     fn recv_line(&mut self) -> Option<String> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
+        let mut line = Vec::new();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match self.reader.by_ref().take(limit).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => None,
-            Ok(_) => Some(line.trim_end_matches(['\r', '\n']).to_string()),
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                ramp_obs::counter("serve.lines_rejected").incr();
+                let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                self.send_line(&encode_failure(0, STATUS_ERROR, &message));
+                None
+            }
+            Ok(_) => String::from_utf8(line)
+                .ok()
+                .map(|line| line.trim_end_matches(['\r', '\n']).to_string()),
         }
     }
 
@@ -311,6 +328,49 @@ mod tests {
         drop(stream);
         unix.stop();
         assert!(!socket.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unix_socket_rejects_an_unbounded_line_and_keeps_serving() {
+        let server = test_server();
+        let dir = std::env::temp_dir().join(format!("ramp-serve-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("cap.sock");
+        let unix = server.serve_unix(&socket).unwrap();
+        let connect = || loop {
+            match UnixStream::connect(&socket) {
+                Ok(s) => {
+                    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                    break s;
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            }
+        };
+        let read_response = |stream: &UnixStream| {
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).unwrap();
+            crate::Response::parse(line.trim_end()).unwrap()
+        };
+        let rejected_before = ramp_obs::counter("serve.lines_rejected").get();
+
+        // 1 MiB with no newline: the server stops reading at the cap, so
+        // the tail of this write may fail once it closes the connection.
+        let mut hostile = connect();
+        let _ = hostile.write_all(&vec![b'x'; 1 << 20]);
+        let response = read_response(&hostile);
+        assert_eq!(response.status, crate::protocol::STATUS_ERROR);
+        let error = response.error.unwrap();
+        assert!(error.contains(&MAX_LINE_BYTES.to_string()), "names the limit: {error}");
+        assert!(ramp_obs::counter("serve.lines_rejected").get() > rejected_before);
+
+        let mut next = connect();
+        next.write_all((Request::ping(4).to_line() + "\n").as_bytes())
+            .unwrap();
+        let pong = read_response(&next);
+        assert!(pong.is_ok());
+        assert_eq!(pong.id, 4);
+        unix.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

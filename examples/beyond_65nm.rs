@@ -9,19 +9,11 @@
 //! cargo run --example beyond_65nm --release
 //! ```
 
-use ramp_core::mechanisms::{standard_models, MechanismKind};
-use ramp_core::{run_app_on_node, NodeId, PipelineConfig, Qualification, TechNode};
-use ramp_core::lifetime::LifetimeDistribution;
-use ramp_trace::spec;
+use ramp_core::mechanisms::MechanismKind;
+use ramp_core::{NodeId, QueryEngine, StudyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let models = standard_models();
-    let cfg = PipelineConfig::quick();
-    let profile = spec::profile("facerec")?;
-
-    let reference = run_app_on_node(&profile, &TechNode::reference(), &cfg, &models, None)?;
-    let qual = Qualification::from_reference_runs(&[reference.rates])
-        .map_err(ramp_core::RampError::Qualification)?;
+    let engine = QueryEngine::calibrate(&StudyConfig::quick().with_benchmarks(&["facerec"])?)?;
 
     println!("facerec: extending the scaling study one generation past the paper");
     println!(
@@ -34,28 +26,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         NodeId::N65HighV,
         NodeId::N45Projected,
     ] {
-        let run = if id == NodeId::N180 {
-            reference.clone()
-        } else {
-            run_app_on_node(
-                &profile,
-                &TechNode::get(id),
-                &cfg,
-                &models,
-                Some(reference.avg_total()),
-            )?
-        };
-        let report = qual.fit_report(&run.rates);
+        let outcome = engine.evaluate(&engine.query("facerec", id)?)?;
         println!(
             "{:<12} {:>8.1} {:>8.1} {:>8.0} {:>8.0} {:>8.0} {:>9.0} {:>10.1}",
             id.label(),
-            run.avg_total().value(),
-            run.max_temperature().value(),
-            report.mechanism_total(MechanismKind::Em).value(),
-            report.mechanism_total(MechanismKind::Sm).value(),
-            report.mechanism_total(MechanismKind::Tddb).value(),
-            report.total().value(),
-            LifetimeDistribution::from_report(&report).mttf_years().value(),
+            outcome.avg_power.value(),
+            outcome.max_temperature.value(),
+            outcome.mechanism_fit[MechanismKind::Em].value(),
+            outcome.mechanism_fit[MechanismKind::Sm].value(),
+            outcome.mechanism_fit[MechanismKind::Tddb].value(),
+            outcome.total_fit.value(),
+            outcome.expected_lifetime.value(),
         );
     }
     println!();

@@ -7,19 +7,12 @@
 //! ```
 
 use ramp_core::lifetime::{LifetimeDistribution, MonteCarloLifetime};
-use ramp_core::mechanisms::{standard_models, MechanismKind};
-use ramp_core::{run_app_on_node, NodeId, PipelineConfig, Qualification, TechNode};
-use ramp_trace::spec;
+use ramp_core::mechanisms::MechanismKind;
+use ramp_core::{NodeId, QueryEngine, StudyConfig};
 use ramp_units::Years;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let models = standard_models();
-    let cfg = PipelineConfig::quick();
-    let profile = spec::profile("gap")?;
-
-    let reference = run_app_on_node(&profile, &TechNode::reference(), &cfg, &models, None)?;
-    let qual = Qualification::from_reference_runs(&[reference.rates])
-        .map_err(ramp_core::RampError::Qualification)?;
+    let engine = QueryEngine::calibrate(&StudyConfig::quick().with_benchmarks(&["gap"])?)?;
 
     println!("gap: lifetime outlook per technology node");
     println!(
@@ -28,18 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut reports = Vec::new();
     for id in NodeId::ALL {
-        let run = if id == NodeId::N180 {
-            reference.clone()
-        } else {
-            run_app_on_node(
-                &profile,
-                &TechNode::get(id),
-                &cfg,
-                &models,
-                Some(reference.avg_total()),
-            )?
-        };
-        let report = qual.fit_report(&run.rates);
+        let report = engine.population_anchor(&engine.query("gap", id)?)?.report;
         let dist = LifetimeDistribution::from_report(&report);
         println!(
             "{:<12} {:>9.0} {:>11.1} {:>14.2} {:>13.1}%",

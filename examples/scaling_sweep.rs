@@ -8,27 +8,14 @@
 //! cargo run --example scaling_sweep --release [benchmark]
 //! ```
 
-use ramp_core::mechanisms::{standard_models, MechanismKind};
-use ramp_core::{run_app_on_node, NodeId, PipelineConfig, Qualification, TechNode};
-use ramp_trace::spec;
+use ramp_core::mechanisms::MechanismKind;
+use ramp_core::{NodeId, QueryEngine, StudyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "wupwise".into());
-    let profile = spec::profile(&name)?;
-    let cfg = PipelineConfig::quick();
-    let models = standard_models();
-
-    // Reference run first: it anchors both the qualification and the
-    // constant-sink-temperature rule.
-    let reference = run_app_on_node(
-        &profile,
-        &TechNode::get(NodeId::N180),
-        &cfg,
-        &models,
-        None,
-    )?;
-    let qual = Qualification::from_reference_runs(&[reference.rates])
-        .map_err(ramp_core::RampError::Qualification)?;
+    // Calibrated on this benchmark alone: its 180 nm run anchors both the
+    // qualification and each scaled node's constant-sink-temperature rule.
+    let engine = QueryEngine::calibrate(&StudyConfig::quick().with_benchmarks(&[&name])?)?;
 
     println!("{name}: lifetime reliability across technology generations");
     println!(
@@ -36,32 +23,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "node", "power W", "sink K", "maxT K", "ΔFIT/180", "EM", "SM", "TDDB", "TC", "total"
     );
 
-    let base_fit = qual.fit_report(&reference.rates).total();
+    let base_fit = engine
+        .evaluate(&engine.query(&name, NodeId::N180)?)?
+        .total_fit;
     for id in NodeId::ALL {
-        let run = if id == NodeId::N180 {
-            reference.clone()
-        } else {
-            run_app_on_node(
-                &profile,
-                &TechNode::get(id),
-                &cfg,
-                &models,
-                Some(reference.avg_total()),
-            )?
-        };
-        let report = qual.fit_report(&run.rates);
+        let outcome = engine.evaluate(&engine.query(&name, id)?)?;
         print!(
             "{:<12} {:>8.1} {:>8.1} {:>8.1} {:>+8.0}% |",
             id.label(),
-            run.avg_total().value(),
-            run.sink_temperature.value(),
-            run.max_temperature().value(),
-            report.total().percent_increase_over(base_fit),
+            outcome.avg_power.value(),
+            outcome.sink_temperature.value(),
+            outcome.max_temperature.value(),
+            outcome.total_fit.percent_increase_over(base_fit),
         );
         for m in MechanismKind::ALL {
-            print!(" {:>7.0}", report.mechanism_total(m).value());
+            print!(" {:>7.0}", outcome.mechanism_fit[m].value());
         }
-        println!(" {:>8.0}", report.total().value());
+        println!(" {:>8.0}", outcome.total_fit.value());
     }
     println!();
     println!("Expected shape (paper): FIT roughly flat to 130nm, then a sharp rise");

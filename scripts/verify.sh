@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + full test suite with a locked dependency
-# graph, static analysis, the determinism matrix at two RAMP_THREADS
+# graph, a run of every example, static analysis, the determinism matrix at two RAMP_THREADS
 # values, the obs/trace/alloc/bench/fleet/serve smokes, and a short run
 # of every benchmark workload.
 #
@@ -15,6 +15,15 @@ cargo build --release --workspace --locked
 
 echo "== tier 1: tests (locked) =="
 cargo test --release --workspace --locked -q
+
+echo "== examples: every example runs to completion =="
+# The test run builds the examples but runs none of them; a change that
+# breaks one at run time fails here (a non-zero exit stops the script).
+for example in examples/*.rs; do
+    name="$(basename "${example}" .rs)"
+    echo "-- ${name}"
+    cargo run --release --locked --quiet --example "${name}" > /dev/null
+done
 
 echo "== static analysis: ramp-lint (workspace invariants) =="
 # Token rules (unit safety, determinism, obs/panic/span hygiene) plus
