@@ -18,8 +18,8 @@ use crate::mechanisms::FailureModel;
 use crate::rates::{AveragedRates, RateAccumulator};
 use crate::{OperatingPoint, RampError, TechNode};
 use ramp_microarch::{
-    simulate_profile_cached_traced, ActivityTrace, MachineConfig, PerStructure, SimulationLength,
-    Structure,
+    simulate_profile_cached_grouped, ActivityTrace, MachineConfig, PerStructure,
+    SimulationLength, Structure,
 };
 use ramp_power::{
     DynamicPowerModel, DynamicScaling, FeedbackTracker, LeakageModel, PowerModel,
@@ -217,7 +217,7 @@ impl AppNodeRun {
 }
 
 /// Cycles per 1 µs sampling interval at the node's clock.
-fn interval_cycles(node: &TechNode) -> u64 {
+pub(crate) fn interval_cycles(node: &TechNode) -> u64 {
     node.frequency.cycles_in(Seconds::MICROSECOND)
 }
 
@@ -317,6 +317,20 @@ pub fn run_app_on_node(
     models: &[Box<dyn FailureModel>],
     reference_power: Option<Watts>,
 ) -> Result<AppNodeRun, RampError> {
+    run_app_filling_intervals(profile, node, cfg, models, reference_power, &[])
+}
+
+/// [`run_app_on_node`] whose timing stage also fills the timing cache at
+/// `extra_intervals` (cycles), in the same engine run, for later runs of
+/// the same benchmark at nodes with those interval lengths.
+pub(crate) fn run_app_filling_intervals(
+    profile: &BenchmarkProfile,
+    node: &TechNode,
+    cfg: &PipelineConfig,
+    models: &[Box<dyn FailureModel>],
+    reference_power: Option<Watts>,
+    extra_intervals: &[u64],
+) -> Result<AppNodeRun, RampError> {
     cfg.validate()?;
     profile
         .validate()
@@ -324,15 +338,19 @@ pub fn run_app_on_node(
     let run_span = ramp_obs::span!("run", "app={} node={}", profile.name, node.id.label());
 
     // ---- Timing pass ----------------------------------------------------
-    // Cached: nodes sharing a clock frequency (and therefore an interval
-    // length) replay the same timing result instead of re-simulating.
+    // Cached: the engine's events are the same at every node, only the
+    // interval length differs. A run that names `extra_intervals` (a
+    // study's 180 nm reference run names every other node's) buckets them
+    // all in one engine run, and the later runs at those intervals replay
+    // it instead of re-simulating.
     let mut timing_span = ramp_obs::span!("timing");
     let machine = MachineConfig::power4_180nm();
-    let (out, cache_outcome, cache_key) = simulate_profile_cached_traced(
+    let (out, cache_outcome, cache_key) = simulate_profile_cached_grouped(
         &machine,
         profile,
         SimulationLength::Instructions(cfg.instructions),
         interval_cycles(node),
+        extra_intervals,
     );
     timing_span.set_detail(format!(
         "node={} cache={} key={cache_key}",

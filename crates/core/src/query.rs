@@ -23,7 +23,7 @@
 
 use crate::manifest::{config_digest, fnv1a_hex};
 use crate::mechanisms::{standard_models, FailureModel, MechanismKind, PerMechanism};
-use crate::pipeline::{run_app_on_node, AppNodeRun, PipelineConfig};
+use crate::pipeline::{interval_cycles, run_app_filling_intervals, AppNodeRun, PipelineConfig};
 use crate::qualification::FitReport;
 use crate::rates::AveragedRates;
 use crate::study::StudyConfig;
@@ -31,6 +31,7 @@ use crate::{Executor, NodeId, Qualification, RampError, TechNode, FIT_PER_MECHAN
 use ramp_trace::{spec, BenchmarkProfile};
 use ramp_units::{Fit, Kelvin, Mttf, Watts, Years};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One reliability question: *what does this workload cost in lifetime at
@@ -193,9 +194,20 @@ impl QueryEngine {
         );
         let reference_span = ramp_obs::span!("reference");
         let reference_node = TechNode::reference();
+        // Each reference run's engine run also buckets activity at every
+        // other interval length of the study's nodes, so the scaled runs
+        // replay it from the timing cache.
+        let extra_intervals: Vec<u64> = config
+            .nodes
+            .iter()
+            .map(|&node| interval_cycles(&TechNode::get(node)))
+            .filter(|&ic| ic != interval_cycles(&reference_node))
+            .collect::<BTreeSet<u64>>()
+            .into_iter()
+            .collect();
         let runs: Vec<Result<AppNodeRun, RampError>> =
             executor.map(&config.benchmarks, |profile| {
-                engine.run(profile, &reference_node, &config.pipeline, None)
+                engine.run(profile, &reference_node, &config.pipeline, None, &extra_intervals)
             });
         let runs: Vec<AppNodeRun> = runs.into_iter().collect::<Result<_, _>>()?;
         reference_span.finish();
@@ -340,7 +352,8 @@ impl QueryEngine {
         let anchor = if query.node == NodeId::N180 {
             None
         } else {
-            let reference = self.run(&profile, &TechNode::reference(), &query.pipeline, None)?;
+            let reference =
+                self.run(&profile, &TechNode::reference(), &query.pipeline, None, &[])?;
             Some(reference.avg_total())
         };
         self.run(
@@ -348,20 +361,31 @@ impl QueryEngine {
             &TechNode::get(query.node),
             &query.pipeline,
             anchor,
+            &[],
         )
     }
 
     /// One pipeline run of `profile` at `node` with this engine's models.
     /// `reference_power` is the workload's 180 nm power for a scaled node
     /// (constant-sink rule) and `None` for the reference node itself.
+    /// `extra_intervals` (cycles) are filled into the timing cache by the
+    /// same engine run; see [`run_app_filling_intervals`].
     pub(crate) fn run(
         &self,
         profile: &BenchmarkProfile,
         node: &TechNode,
         pipeline: &PipelineConfig,
         reference_power: Option<Watts>,
+        extra_intervals: &[u64],
     ) -> Result<AppNodeRun, RampError> {
-        run_app_on_node(profile, node, pipeline, &self.models, reference_power)
+        run_app_filling_intervals(
+            profile,
+            node,
+            pipeline,
+            &self.models,
+            reference_power,
+            extra_intervals,
+        )
     }
 
     /// Evaluates the average chip for `query` and packages everything a
@@ -516,6 +540,27 @@ mod tests {
             let t = anchor.rates.average_temperature()[s].value();
             assert!((300.0..450.0).contains(&t), "avg temp {t} out of range");
         }
+    }
+
+    #[test]
+    fn reference_runs_fill_every_node_interval() {
+        // A length no other test uses keeps these cache classes this
+        // test's own.
+        let mut config = StudyConfig::quick()
+            .with_benchmarks(&["gzip", "vpr"])
+            .unwrap();
+        config.pipeline.instructions = 30_011;
+        crate::run_study(&config).unwrap();
+        let class = |ic: u64| {
+            ramp_microarch::timing_cache_class_stats()
+                .into_iter()
+                .find(|c| c.class == format!("len=i30011/ic={ic}"))
+                .map(|c| (c.hits, c.misses))
+        };
+        assert_eq!(class(1_100), Some((0, 2)), "one engine run per benchmark");
+        assert_eq!(class(1_350), Some((2, 0)));
+        assert_eq!(class(1_650), Some((2, 0)));
+        assert_eq!(class(2_000), Some((4, 0)), "both 65 nm points replay");
     }
 
     #[test]

@@ -171,6 +171,7 @@ pub fn run_study(config: &StudyConfig) -> Result<StudyResults, RampError> {
                 &TechNode::get(*node),
                 &config.pipeline,
                 Some(ref_run.avg_total()),
+                &[],
             )
         });
     let scaled: Vec<AppNodeRun> = scaled.into_iter().collect::<Result<_, _>>()?;

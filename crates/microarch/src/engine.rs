@@ -30,6 +30,12 @@
 //! IDU) at the machine's fetch rate for the duration of the redirect
 //! shadow, which is what makes low-IPC, mispredict-heavy codes (e.g. gcc)
 //! hot in the fetch engine even though little of their work retires.
+//!
+//! The interval length only sets where events are cut into buckets, so
+//! an engine may hold several collectors, one per interval length, and
+//! feed each one every event: one run yields the trace of every requested
+//! interval exactly as a run at that interval alone would
+//! ([`simulate_grouped`]).
 
 use crate::activity::{default_capacities, ActivityCollector, ActivityTrace};
 use crate::cache::{Cache, DataHierarchy, HitLevel};
@@ -208,6 +214,8 @@ pub struct Engine {
     dcache: DataHierarchy,
     bpred: GsharePredictor,
     collector: ActivityCollector,
+    /// One collector per extra interval length, fed the same events.
+    extra_collectors: Vec<ActivityCollector>,
 
     reg_ready: [u64; ramp_trace::TOTAL_REGS as usize],
     rob: WindowResource,
@@ -247,6 +255,23 @@ impl Engine {
     /// `interval_cycles` is zero.
     #[must_use]
     pub fn new(config: &MachineConfig, interval_cycles: u64) -> Self {
+        Self::with_extra_intervals(config, interval_cycles, &[])
+    }
+
+    /// Creates an engine for `config` that buckets the same activity
+    /// every `interval_cycles` and, in addition, every one of
+    /// `extra_intervals`; see [`Engine::finish_grouped`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`MachineConfig::validate`] or
+    /// any interval is zero.
+    #[must_use]
+    pub(crate) fn with_extra_intervals(
+        config: &MachineConfig,
+        interval_cycles: u64,
+        extra_intervals: &[u64],
+    ) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid machine configuration: {e}"); // ramp-lint:allow(panic-hygiene) -- documented constructor contract for invalid configs
         }
@@ -257,6 +282,10 @@ impl Engine {
             // independent order, so global history is pure index noise.
             bpred: GsharePredictor::bimodal(14),
             collector: ActivityCollector::new(interval_cycles, default_capacities(config)),
+            extra_collectors: extra_intervals
+                .iter()
+                .map(|&ic| ActivityCollector::new(ic, default_capacities(config)))
+                .collect(),
             reg_ready: [0; ramp_trace::TOTAL_REGS as usize],
             rob: WindowResource::new(config.rob_entries),
             int_rename: WindowResource::new(config.int_rename_regs()),
@@ -333,7 +362,7 @@ impl Engine {
         }
         let fetch_time = self.fetch_cycle;
         self.fetched_this_cycle += 1;
-        self.collector.record(Structure::Ifu, fetch_time, 1);
+        self.record(Structure::Ifu, fetch_time, 1);
 
         // ---------------- Dispatch ---------------------------------------
         let frontend_ready = fetch_time + u64::from(self.config.frontend_depth);
@@ -380,7 +409,7 @@ impl Engine {
         }
         let dispatch_time = self.dispatch_cycle;
         self.dispatched_this_cycle += 1;
-        self.collector.record(Structure::Idu, dispatch_time, 1);
+        self.record(Structure::Idu, dispatch_time, 1);
 
         // ---------------- Issue / execute --------------------------------
         // Dispatch is monotone and every later issue happens after its own
@@ -483,9 +512,8 @@ impl Engine {
                     let wrong =
                         (shadow * u64::from(self.config.fetch_width)).min(256);
                     self.stats.wrong_path_fetches += wrong;
-                    self.collector.record(Structure::Ifu, fetch_time, wrong);
-                    self.collector
-                        .record(Structure::Idu, dispatch_time, wrong / 2);
+                    self.record(Structure::Ifu, fetch_time, wrong);
+                    self.record(Structure::Idu, dispatch_time, wrong / 2);
                     if redirect > self.fetch_cycle {
                         self.stats.redirect_stall_cycles += redirect - self.fetch_cycle;
                         self.fetch_cycle = redirect;
@@ -507,8 +535,8 @@ impl Engine {
             }
         };
 
-        self.collector.record(exec_structure, issue, 1);
-        self.collector.record(Structure::Isu, issue, 1);
+        self.record(exec_structure, issue, 1);
+        self.record(Structure::Isu, issue, 1);
 
         if let Some(dst) = rec.dest() {
             self.reg_ready[dst as usize] = complete; // ramp-lint:allow(panic-reach) -- register indices are below the architected register count
@@ -532,19 +560,42 @@ impl Engine {
         self.dispatch_count += 1;
 
         self.collector.record_retire(retire_time, 1);
+        for collector in &mut self.extra_collectors {
+            collector.record_retire(retire_time, 1);
+        }
         self.stats.instructions += 1;
         self.last_retire_cycle = retire_time;
     }
 
-    /// Finalises the run, returning statistics and the activity trace.
-    #[must_use]
-    pub fn finish(mut self) -> SimulationOutput {
-        self.stats.cycles = self.last_retire_cycle;
-        let activity = self.collector.finish(self.last_retire_cycle);
-        SimulationOutput {
-            stats: self.stats,
-            activity,
+    /// Records `count` work events on `structure` at `cycle` in every
+    /// collector.
+    fn record(&mut self, structure: Structure, cycle: u64, count: u64) {
+        self.collector.record(structure, cycle, count);
+        for collector in &mut self.extra_collectors {
+            collector.record(structure, cycle, count);
         }
+    }
+
+    /// Finalises the run, returning statistics and the activity trace at
+    /// the engine's own interval length.
+    #[must_use]
+    pub fn finish(self) -> SimulationOutput {
+        self.finish_grouped().0
+    }
+
+    /// Finalises the run once per interval length: the output at the
+    /// engine's own interval, then one per extra interval in the order
+    /// they were given. Every output carries the same statistics.
+    #[must_use]
+    pub(crate) fn finish_grouped(mut self) -> (SimulationOutput, Vec<SimulationOutput>) {
+        self.stats.cycles = self.last_retire_cycle;
+        let (stats, end_cycle) = (self.stats, self.last_retire_cycle);
+        let output = |collector: ActivityCollector| SimulationOutput {
+            stats,
+            activity: collector.finish(end_cycle),
+        };
+        let extras = self.extra_collectors.into_iter().map(output).collect();
+        (output(self.collector), extras)
     }
 }
 
@@ -571,7 +622,39 @@ pub fn simulate<I>(
 where
     I: IntoIterator<Item = TraceRecord>,
 {
-    let mut engine = Engine::new(config, interval_cycles);
+    simulate_grouped(config, trace, length, interval_cycles, &[]).0
+}
+
+/// [`simulate`] at several interval lengths in one engine run: returns
+/// the output at `interval_cycles`, then one output per entry of
+/// `extra_intervals` (duplicates included), each equal to what
+/// `simulate` at that interval alone returns.
+///
+/// # Examples
+///
+/// ```
+/// use ramp_microarch::{simulate, simulate_grouped, MachineConfig, SimulationLength};
+/// use ramp_trace::{spec, TraceGenerator};
+/// let cfg = MachineConfig::power4_180nm();
+/// let p = spec::profile("gzip").unwrap();
+/// let length = SimulationLength::Instructions(10_000);
+/// let (at_1100, extra) =
+///     simulate_grouped(&cfg, TraceGenerator::new(&p), length, 1_100, &[2_000]);
+/// let alone = simulate(&cfg, TraceGenerator::new(&p), length, 2_000);
+/// assert_eq!(extra[0].activity, alone.activity);
+/// assert_eq!(at_1100.stats, alone.stats);
+/// ```
+pub fn simulate_grouped<I>(
+    config: &MachineConfig,
+    trace: I,
+    length: SimulationLength,
+    interval_cycles: u64,
+    extra_intervals: &[u64],
+) -> (SimulationOutput, Vec<SimulationOutput>)
+where
+    I: IntoIterator<Item = TraceRecord>,
+{
+    let mut engine = Engine::with_extra_intervals(config, interval_cycles, extra_intervals);
     for rec in trace {
         engine.step(&rec);
         match length {
@@ -580,7 +663,7 @@ where
             _ => {}
         }
     }
-    engine.finish()
+    engine.finish_grouped()
 }
 
 #[cfg(test)]

@@ -37,11 +37,12 @@ pub use activity::{default_capacities, ActivityCollector, ActivityRecord, Activi
 pub use bpred::GsharePredictor;
 pub use cache::{Cache, DataHierarchy, HitLevel};
 pub use config::{CacheConfig, MachineConfig};
-pub use engine::{simulate, Engine, SimulationLength, SimulationOutput};
+pub use engine::{simulate, simulate_grouped, Engine, SimulationLength, SimulationOutput};
 pub use stats::SimStats;
 pub use structures::{PerStructure, Structure};
 pub use timing_cache::{
-    clear_timing_cache, simulate_profile_cached, simulate_profile_cached_traced,
+    clear_timing_cache, simulate_profile_cached, simulate_profile_cached_grouped,
+    simulate_profile_cached_traced,
     timing_cache_class_stats, timing_cache_stats, CacheOutcome, TimingCacheClassStats,
     TimingCacheStats, TIMING_CACHE_CAPACITY,
 };

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use ramp_microarch::{
-    simulate, simulate_profile_cached, Engine, MachineConfig, SimulationLength, Structure,
+    simulate, simulate_grouped, simulate_profile_cached, Engine, MachineConfig, SimulationLength,
+    SimulationOutput, Structure,
 };
 use ramp_trace::{BranchInfo, MemRef, TraceRecord, ALL_OP_CLASSES};
 
@@ -182,6 +183,72 @@ proptest! {
         // A repeat lookup is a hit on the very same shared output.
         let again = simulate_profile_cached(&cfg, profile, length, interval_cycles);
         prop_assert!(std::sync::Arc::ptr_eq(&cached, &again));
+    }
+}
+
+/// Asserts `grouped` is bit-for-bit the direct run `direct`: equal
+/// statistics, the same interval length and count, equal retirements and
+/// every activity factor equal by `f64::to_bits`.
+fn assert_bit_identical(grouped: &SimulationOutput, direct: &SimulationOutput, what: &str) {
+    assert_eq!(grouped.stats, direct.stats, "{what}: stats");
+    let (g, d) = (&grouped.activity, &direct.activity);
+    assert_eq!(g.interval_cycles(), d.interval_cycles(), "{what}: interval");
+    assert_eq!(g.intervals().len(), d.intervals().len(), "{what}: bucket count");
+    for (i, (gr, dr)) in g.intervals().iter().zip(d.intervals()).enumerate() {
+        assert_eq!(gr.retired, dr.retired, "{what}: bucket {i} retired");
+        for s in Structure::ALL {
+            assert_eq!(
+                gr.factors[s].value().to_bits(),
+                dr.factors[s].value().to_bits(),
+                "{what}: bucket {i} {s}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One engine run bucketed at several intervals is exactly one direct
+    /// run per interval, for both kinds of run length. The intervals
+    /// include duplicates and, for these short runs, often exceed the
+    /// whole run, where the collector keeps its one partial bucket.
+    #[test]
+    fn grouped_intervals_equal_direct_runs(
+        bench_idx in 0usize..64,
+        by_cycles in any::<bool>(),
+        budget in 100u64..6_000,
+        drawn in proptest::collection::vec(1u64..=4_000, 1..5),
+        duplicate in any::<bool>(),
+    ) {
+        let profiles = ramp_trace::spec::all_profiles();
+        let profile = &profiles[bench_idx % profiles.len()];
+        let cfg = MachineConfig::power4_180nm();
+        let length = if by_cycles {
+            SimulationLength::Cycles(budget)
+        } else {
+            SimulationLength::Instructions(budget)
+        };
+        let mut intervals = drawn;
+        if duplicate {
+            intervals.push(intervals[intervals.len() - 1]);
+        }
+        let (first, rest) = simulate_grouped(
+            &cfg,
+            ramp_trace::TraceGenerator::new(profile),
+            length,
+            intervals[0],
+            &intervals[1..],
+        );
+        prop_assert_eq!(rest.len(), intervals.len() - 1);
+        for (out, &ic) in std::iter::once(&first).chain(&rest).zip(&intervals) {
+            let direct = simulate(&cfg, ramp_trace::TraceGenerator::new(profile), length, ic);
+            assert_bit_identical(
+                out,
+                &direct,
+                &format!("{} {length:?} ic={ic} of {intervals:?}", profile.name),
+            );
+        }
     }
 }
 

@@ -72,7 +72,7 @@ pub struct Request {
     #[serde(default)]
     pub chips: Option<u64>,
     /// How many recent request traces a `trace` request returns
-    /// (defaults to 4, clamped server-side).
+    /// (defaults to 4, 1 to 16; other values are rejected).
     #[serde(default)]
     pub last: Option<u64>,
 }

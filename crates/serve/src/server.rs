@@ -473,7 +473,13 @@ impl ServerState {
             "metrics" => encode_metrics(request.id, &self.metrics_body()),
             "trace" => {
                 Stats::bump(&self.stats.trace_requests, "serve.trace_requests");
-                encode_trace(request.id, &self.trace_body(&request))
+                match self.trace_body(&request) {
+                    Ok(body) => encode_trace(request.id, &body),
+                    Err(error) => {
+                        Stats::bump(&self.stats.errors, "serve.errors");
+                        encode_failure(request.id, STATUS_ERROR, &error.to_string())
+                    }
+                }
             }
             "ping" => encode_pong(request.id),
             other => {
@@ -528,13 +534,17 @@ impl ServerState {
 
     /// Assembles the `trace` response: the last `request.last` completed
     /// request traces (oldest first), each with every one of its spans
-    /// still resident in the bounded ring.
-    fn trace_body(&self, request: &Request) -> TraceBody {
+    /// still resident in the bounded ring. A `last` outside
+    /// 1..=[`TRACE_MAX_LAST`] is a protocol error.
+    fn trace_body(&self, request: &Request) -> Result<TraceBody, ServeError> {
+        let last = request.last.unwrap_or(TRACE_DEFAULT_LAST);
+        if !(1..=TRACE_MAX_LAST).contains(&last) {
+            return Err(ServeError::Protocol(format!(
+                "`last` must be in 1..={TRACE_MAX_LAST} (got {last})"
+            )));
+        }
+        let last = last as usize;
         let stats = ramp_obs::ring_stats();
-        let last = request
-            .last
-            .unwrap_or(TRACE_DEFAULT_LAST)
-            .clamp(1, TRACE_MAX_LAST) as usize;
         let wanted: Vec<u64> = {
             let recent = self
                 .recent_traces
@@ -563,13 +573,13 @@ impl ServerState {
                     .collect(),
             })
             .collect();
-        TraceBody {
+        Ok(TraceBody {
             enabled: ramp_obs::tracing_enabled(),
             ring_capacity: stats.capacity,
             spans_recorded: stats.recorded,
             spans_dropped: stats.dropped,
             traces,
-        }
+        })
     }
 
     /// Dispatcher loop: drain → batch → execute on the shared executor →
@@ -1036,6 +1046,18 @@ mod tests {
             }
         }
         assert_eq!(server.stats().trace_requests, 1);
+        // An out-of-range `last` is rejected, not silently clamped, and the
+        // server keeps serving.
+        for last in [0, TRACE_MAX_LAST + 1] {
+            let line = Request::trace(4, Some(last)).to_line();
+            let response = Response::parse(&server.handle_line(&line)).unwrap();
+            assert_eq!(response.status, STATUS_ERROR, "last {last}");
+            let error = response.error.unwrap();
+            assert!(error.contains("`last`"), "error names the field: {error}");
+            assert!(error.contains(&TRACE_MAX_LAST.to_string()), "error names the limit: {error}");
+        }
+        let ok = server.handle_line(&Request::trace(5, Some(TRACE_MAX_LAST)).to_line());
+        assert!(Response::parse(&ok).unwrap().is_ok());
     }
 
     #[test]
