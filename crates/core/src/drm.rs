@@ -11,19 +11,20 @@
 //! [`DrmController`] tracks the running-average FIT of the executing
 //! workload and moves between [`DvsLevel`]s to keep the long-run average
 //! within a FIT budget, trading performance only when reliability demands
-//! it. [`run_with_drm`] replays a workload's second pass under the
-//! controller and reports both the reliability outcome and the performance
-//! cost.
+//! it. [`run_with_drm`]`(engine, profile, node, policy, ladder)` runs the
+//! ordinary pipeline of a [`QueryEngine`] with the controller choosing
+//! each second-pass interval's level, and reports both the reliability
+//! outcome and the performance cost. Its unmanaged baseline is the
+//! engine's anchored run ([`QueryEngine::run_anchored`]).
 
 use crate::mechanisms::FailureModel;
-use crate::pipeline::PipelineConfig;
+use crate::pipeline::{power_model, LevelPolicy};
 use crate::rates::RateAccumulator;
-use crate::{OperatingPoint, Qualification, RampError, TechNode};
-use ramp_microarch::{simulate, MachineConfig, PerStructure, SimulationLength};
-use ramp_power::{DynamicPowerModel, DynamicScaling, LeakageModel, PowerModel};
-use ramp_thermal::ThermalSimulator;
-use ramp_trace::{BenchmarkProfile, TraceGenerator};
-use ramp_units::{Fit, Gigahertz, Seconds, Volts, Watts};
+use crate::{OperatingPoint, Qualification, QueryEngine, RampError, TechNode};
+use ramp_microarch::PerStructure;
+use ramp_power::PowerModel;
+use ramp_trace::BenchmarkProfile;
+use ramp_units::{Fit, Gigahertz, Volts};
 use serde::{Deserialize, Serialize};
 
 /// One dynamic voltage/frequency operating level.
@@ -192,8 +193,12 @@ impl DrmController {
     /// One control decision from the current running-average FIT: throttle
     /// down when over budget, relax up when comfortably under.
     pub fn decide(&mut self, running_average: Fit) {
+        self.decide_average(running_average.value());
+    }
+
+    /// [`DrmController::decide`] on a running average in FIT.
+    fn decide_average(&mut self, avg: f64) {
         let budget = self.policy.fit_budget.value();
-        let avg = running_average.value();
         if avg > budget && self.current + 1 < self.levels.len() {
             self.current += 1;
             self.transitions += 1;
@@ -228,225 +233,145 @@ impl DrmOutcome {
     }
 }
 
+/// The DRM controller as the second pass's per-interval level policy: it
+/// hands the pipeline the current level's power model and supply, and
+/// feeds each interval's instantaneous FIT into the controller's running
+/// average.
+struct ManagedLevels<'e> {
+    controller: DrmController,
+    /// One power model per ladder level, in ladder order.
+    powers: Vec<PowerModel>,
+    models: &'e [Box<dyn FailureModel>],
+    node: TechNode,
+    qualification: Qualification,
+    fit_sum: f64,
+    intervals: u64,
+    residency: Vec<u64>,
+    performance_sum: f64,
+}
+
+impl LevelPolicy for ManagedLevels<'_> {
+    fn level(&self) -> (&PowerModel, Volts) {
+        let power = &self.powers[self.controller.level_index()]; // ramp-lint:allow(panic-reach) -- `powers` has one entry per ladder level and `level_index()` is bounded by the ladder length
+        (power, self.controller.level().voltage)
+    }
+
+    fn observe(&mut self, ops: &PerStructure<OperatingPoint>) {
+        let mut instantaneous = RateAccumulator::new(self.models, self.node);
+        instantaneous.observe(ops, 1.0);
+        let report = self.qualification.fit_report(&instantaneous.finish());
+        self.fit_sum += report.total().value();
+        self.residency[self.controller.level_index()] += 1; // ramp-lint:allow(panic-reach) -- `residency` has one entry per ladder level and `level_index()` is bounded by the ladder length
+        self.performance_sum += self.controller.level().performance_factor(&self.node);
+        self.intervals += 1;
+        let period = u64::from(self.controller.policy.decision_intervals);
+        if self.intervals.is_multiple_of(period) {
+            let average = self.fit_sum / self.intervals as f64;
+            self.controller.decide_average(average);
+        }
+    }
+}
+
 /// Runs a workload on a node under DRM control and reports the outcome.
 ///
-/// The timing pass runs once (workload activity per cycle is frequency-
-/// independent for the fixed pipeline); the power/thermal/reliability loop
-/// then replays it with the controller adjusting the DVS level every
-/// [`DrmPolicy::decision_intervals`].
+/// The managed figures come from one ordinary pipeline run of `engine`
+/// (its base pipeline, qualification and constant-sink anchor) whose
+/// second pass takes each interval's DVS level from a [`DrmController`]
+/// over `ladder`. The controller decides every
+/// [`DrmPolicy::decision_intervals`]; the first pass runs at the nominal
+/// level. The timing pass comes from the timing cache: a workload's
+/// activity per cycle is frequency-independent for the fixed pipeline.
+/// The unmanaged baseline is [`QueryEngine::run_anchored`], so
+/// `unmanaged_fit` is exactly what [`QueryEngine::evaluate`] answers for
+/// the same workload and node.
 ///
 /// # Errors
 ///
-/// Returns [`RampError`] for invalid configuration or failed thermal
-/// solves.
+/// Returns [`RampError`] for an invalid policy, ladder or configuration,
+/// or a failed thermal solve.
 ///
 /// # Examples
 ///
 /// ```
 /// use ramp_core::drm::{run_with_drm, DrmPolicy, DvsLevel};
-/// use ramp_core::mechanisms::standard_models;
-/// use ramp_core::{NodeId, PipelineConfig, Qualification, TechNode};
-/// # use ramp_core::{run_app_on_node};
+/// use ramp_core::{NodeId, QueryEngine, StudyConfig, TechNode};
 /// use ramp_trace::spec;
 ///
-/// let models = standard_models();
-/// let cfg = PipelineConfig::quick();
-/// let profile = spec::profile("crafty")?;
 /// // Qualify at 180 nm as usual…
-/// let reference = run_app_on_node(&profile, &TechNode::reference(), &cfg, &models, None)?;
-/// let qual = Qualification::from_reference_runs(&[reference.rates]).unwrap();
+/// let engine = QueryEngine::calibrate(&StudyConfig::quick().with_benchmarks(&["crafty"])?)?;
 /// // …then manage the 65 nm run against the 4000-FIT budget.
 /// let node = TechNode::get(NodeId::N65HighV);
 /// let outcome = run_with_drm(
-///     &profile, &node, &cfg, &models, &qual,
+///     &engine,
+///     &spec::profile("crafty")?,
+///     &node,
 ///     DrmPolicy::qualified_budget(),
 ///     DvsLevel::standard_ladder(&node),
-///     Some(reference.avg_total()),
 /// )?;
 /// assert!(outcome.managed_fit.value() <= outcome.unmanaged_fit.value());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[allow(clippy::too_many_arguments)]
 pub fn run_with_drm(
+    engine: &QueryEngine,
     profile: &BenchmarkProfile,
     node: &TechNode,
-    cfg: &PipelineConfig,
-    models: &[Box<dyn FailureModel>],
-    qualification: &Qualification,
     policy: DrmPolicy,
     ladder: Vec<DvsLevel>,
-    reference_power: Option<Watts>,
 ) -> Result<DrmOutcome, RampError> {
-    cfg.validate()?;
-    policy.validate().map_err(RampError::InvalidConfiguration)?;
-
-    // ---- Timing pass (frequency-independent activity in cycles) ---------
-    let machine = MachineConfig::power4_180nm();
-    let out = simulate(
-        &machine,
-        TraceGenerator::new(profile),
-        SimulationLength::Instructions(cfg.instructions),
-        node.frequency.cycles_in(Seconds::MICROSECOND),
-    );
-    if out.activity.intervals().is_empty() {
-        return Err(RampError::InvalidConfiguration(
-            "simulation produced no complete activity interval".into(),
-        ));
-    }
-
-    // ---- Shared power/thermal scaffolding --------------------------------
-    let reference = TechNode::reference();
-    let leakage = LeakageModel::new(node.leakage_density, node.core_area(), cfg.leakage_beta)
-        .map_err(RampError::InvalidConfiguration)?;
-    let residual = ramp_trace::spec::power_residual(&profile.name).unwrap_or(1.0);
-    let power_at = |level: &DvsLevel| -> Result<PowerModel, RampError> {
-        let scaling = DynamicScaling::new(
-            node.capacitance_rel,
-            level.voltage.ratio_to(reference.vdd),
-            level.frequency.ratio_to(reference.frequency),
-        )
-        .map_err(RampError::InvalidConfiguration)?;
-        PowerModel::new(
-            DynamicPowerModel::new(cfg.budgets.clone(), scaling),
-            leakage.clone(),
-            residual,
-        )
-        .map_err(RampError::InvalidConfiguration)
-    };
-    let nominal_power = power_at(&DvsLevel::nominal(node))?;
-
-    // First pass at nominal conditions initialises the sink.
-    let avg_activity = out.activity.average();
-    let mut temps = PerStructure::from_fn(|_| ramp_units::Kelvin::new_const(345.0));
-    let mut sim: Option<ThermalSimulator> = None;
-    let mut state = ramp_thermal::ThermalState::uniform(ramp_units::Kelvin::new_const(345.0));
-    for _ in 0..cfg.first_pass_iterations {
-        let sample = nominal_power.sample(&avg_activity, &temps);
-        let s = match reference_power {
-            Some(ref_p) => ThermalSimulator::with_constant_sink_temperature(
-                node.core_area(),
-                cfg.thermal,
-                ref_p,
-                sample.total(),
-            ),
-            None => ThermalSimulator::new(node.core_area(), cfg.thermal),
-        }
-        .map_err(RampError::InvalidConfiguration)?;
-        state = s
-            .initial_state(&sample.per_structure_total())
-            .map_err(RampError::ThermalSolve)?;
-        temps = state.structures;
-        sim = Some(s);
-    }
-    let sim = sim.expect("first_pass_iterations >= 1 validated"); // ramp-lint:allow(panic-hygiene) -- config validation guarantees >= 1 iteration
-
-    // ---- Managed second pass ---------------------------------------------
-    let mut controller = DrmController::new(policy, ladder.clone())
-        .map_err(RampError::InvalidConfiguration)?;
-    let total_dt = 1e-6 * cfg.time_compression;
-    let stable = sim.network().max_stable_step().value();
-    let substeps = (total_dt / stable).ceil().max(1.0) as u32;
-    let dt = Seconds::new(total_dt / f64::from(substeps)).expect("positive sub-step"); // ramp-lint:allow(panic-hygiene) -- substeps >= 1 keeps dt positive
-
-    let mut acc = RateAccumulator::new(models, *node);
-    let mut managed_running = 0.0_f64;
-    let mut intervals = 0u64;
-    let mut residency = vec![0u64; ladder.len()];
-    let mut perf_sum = 0.0;
-    let level_powers: Vec<PowerModel> = ladder
-        .iter()
-        .map(power_at)
-        .collect::<Result<_, _>>()?;
-
-    for _ in 0..cfg.trace_repeats {
-        for interval in out.activity.intervals() {
-            let lvl_idx = controller.level_index();
-            // ramp-lint:allow(panic-reach) -- `level_index()` is bounded by the ladder length
-            let level = ladder[lvl_idx];
-            let power = &level_powers[lvl_idx]; // ramp-lint:allow(panic-reach) -- `level_index()` is bounded by the ladder length
-            let sample = power.sample(&interval.factors, &state.structures);
-            for _ in 0..substeps {
-                state = sim.step(&state, &sample.per_structure_total(), dt);
-            }
-            let ops = PerStructure::from_fn(|s| {
-                OperatingPoint::new(state.structures[s], level.voltage, interval.factors[s]) // ramp-lint:allow(panic-reach) -- `level_index()` is bounded by the ladder length
-            });
-            // Instantaneous FIT for the controller's running average.
-            let mut inst = RateAccumulator::new(models, *node);
-            inst.observe(&ops, 1.0);
-            let inst_fit = qualification.fit_report(&inst.finish()).total().value();
-            managed_running += inst_fit;
-            acc.observe(&ops, 1.0);
-            residency[lvl_idx] += 1; // ramp-lint:allow(panic-reach) -- `level_index()` is bounded by the ladder length
-            perf_sum += level.performance_factor(node);
-            intervals += 1;
-            if intervals.is_multiple_of(u64::from(policy.decision_intervals)) {
-                let avg = Fit::new(managed_running / intervals as f64)
-                    .expect("mean of valid FITs is valid"); // ramp-lint:allow(panic-hygiene) -- mean of valid FITs stays in range
-                controller.decide(avg);
-            }
-        }
-    }
-    let managed_fit = qualification.fit_report(&acc.finish()).total();
-
-    // ---- Unmanaged baseline (nominal level throughout) -------------------
-    // Re-initialise from the nominal first pass for a fair comparison.
-    let sample = nominal_power.sample(&avg_activity, &temps);
-    let mut baseline_state = sim
-        .initial_state(&sample.per_structure_total())
-        .map_err(RampError::ThermalSolve)?;
-    let mut base_acc = RateAccumulator::new(models, *node);
-    for _ in 0..cfg.trace_repeats {
-        for interval in out.activity.intervals() {
-            let sample = nominal_power.sample(&interval.factors, &baseline_state.structures);
-            for _ in 0..substeps {
-                baseline_state = sim.step(&baseline_state, &sample.per_structure_total(), dt);
-            }
-            let ops = PerStructure::from_fn(|s| {
-                OperatingPoint::new(
-                    baseline_state.structures[s], // ramp-lint:allow(panic-reach) -- `level_index()` is bounded by the ladder length
-                    node.vdd,
-                    interval.factors[s], // ramp-lint:allow(panic-reach) -- `level_index()` is bounded by the ladder length
-                )
-            });
-            base_acc.observe(&ops, 1.0);
-        }
-    }
-    let unmanaged_fit = qualification.fit_report(&base_acc.finish()).total();
-
-    Ok(DrmOutcome {
-        managed_fit,
-        unmanaged_fit,
-        relative_performance: perf_sum / intervals as f64,
-        level_residency: residency
+    let controller = DrmController::new(policy, ladder).map_err(RampError::InvalidConfiguration)?;
+    let cfg = engine.base_pipeline();
+    let qualification = engine.qualification();
+    let (managed, levels) = engine.run_anchored_under(profile, node, cfg, |_nominal| {
+        let powers = controller
+            .levels
             .iter()
-            .map(|&n| n as f64 / intervals as f64)
+            .map(|&level| power_model(profile, node, cfg, level))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ManagedLevels {
+            residency: vec![0; powers.len()],
+            controller,
+            powers,
+            models: &engine.models,
+            node: *node,
+            qualification,
+            fit_sum: 0.0,
+            intervals: 0,
+            performance_sum: 0.0,
+        })
+    })?;
+    let unmanaged = engine.run_anchored(profile, node)?;
+    let intervals = levels.intervals as f64;
+    Ok(DrmOutcome {
+        managed_fit: qualification.fit_report(&managed.rates).total(),
+        unmanaged_fit: qualification.fit_report(&unmanaged.rates).total(),
+        relative_performance: levels.performance_sum / intervals,
+        level_residency: levels
+            .residency
+            .iter()
+            .map(|&n| n as f64 / intervals)
             .collect(),
-        transitions: controller.transitions(),
+        transitions: levels.controller.transitions(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanisms::standard_models;
-    use crate::{run_app_on_node, NodeId};
+    use crate::{NodeId, StudyConfig};
     use ramp_trace::spec;
 
-    fn setup() -> (
-        Vec<Box<dyn FailureModel>>,
-        PipelineConfig,
-        BenchmarkProfile,
-        Qualification,
-        Watts,
-    ) {
-        let models = standard_models();
-        let cfg = PipelineConfig::quick();
+    /// An engine qualified on crafty alone.
+    fn engine() -> QueryEngine {
+        let config = StudyConfig::quick().with_benchmarks(&["crafty"]).unwrap();
+        QueryEngine::calibrate(&config).unwrap()
+    }
+
+    /// Crafty at `node` under `policy` on the standard ladder.
+    fn crafty(engine: &QueryEngine, node: NodeId, policy: DrmPolicy) -> DrmOutcome {
+        let node = TechNode::get(node);
         let profile = spec::profile("crafty").unwrap();
-        let reference =
-            run_app_on_node(&profile, &TechNode::reference(), &cfg, &models, None).unwrap();
-        let qual = Qualification::from_reference_runs(&[reference.rates]).unwrap();
-        (models, cfg, profile, qual, reference.avg_total())
+        let ladder = DvsLevel::standard_ladder(&node);
+        run_with_drm(engine, &profile, &node, policy, ladder).unwrap()
     }
 
     #[test]
@@ -511,25 +436,13 @@ mod tests {
 
     #[test]
     fn drm_reduces_fit_on_an_over_budget_node() {
-        let (models, cfg, profile, qual, ref_power) = setup();
-        let node = TechNode::get(NodeId::N65HighV);
         // Short traces in the quick config → decide every 10 intervals so
         // the controller actually gets to act.
         let policy = DrmPolicy {
             decision_intervals: 10,
             ..DrmPolicy::qualified_budget()
         };
-        let outcome = run_with_drm(
-            &profile,
-            &node,
-            &cfg,
-            &models,
-            &qual,
-            policy,
-            DvsLevel::standard_ladder(&node),
-            Some(ref_power),
-        )
-        .unwrap();
+        let outcome = crafty(&engine(), NodeId::N65HighV, policy);
         assert!(
             outcome.managed_fit.value() < outcome.unmanaged_fit.value(),
             "managed {} vs unmanaged {}",
@@ -545,30 +458,52 @@ mod tests {
     }
 
     #[test]
+    fn managed_outcome_of_the_example_case_is_pinned() {
+        // `examples/drm_throttling.rs`: crafty at 65 nm (1.0 V) against a
+        // 6000-FIT budget, deciding every 10 intervals.
+        let policy = DrmPolicy {
+            fit_budget: Fit::new(6000.0).unwrap(),
+            decision_intervals: 10,
+            hysteresis: 0.05,
+        };
+        let outcome = crafty(&engine(), NodeId::N65HighV, policy);
+        let managed = outcome.managed_fit.value();
+        assert_eq!(managed.to_bits(), 0x40c4_807c_b384_eb0e); // 10496.974228491566
+        let performance = outcome.relative_performance;
+        assert_eq!(performance.to_bits(), 0x3fe7_d70a_3d70_a3e5); // 0.7450000000000015
+        assert_eq!(outcome.level_residency, vec![0.1, 0.1, 0.8]);
+        assert_eq!(outcome.transitions, 2);
+    }
+
+    #[test]
+    fn a_one_level_ladder_is_the_plain_evaluation() {
+        let engine = engine();
+        let node = TechNode::get(NodeId::N65HighV);
+        let ladder = vec![DvsLevel::nominal(&node)];
+        let profile = spec::profile("crafty").unwrap();
+        let policy = DrmPolicy::qualified_budget();
+        let outcome = run_with_drm(&engine, &profile, &node, policy, ladder).unwrap();
+        let query = engine.query("crafty", NodeId::N65HighV).unwrap();
+        let evaluated = engine.evaluate(&query).unwrap().total_fit;
+        let managed = outcome.managed_fit.value().to_bits();
+        assert_eq!(managed, outcome.unmanaged_fit.value().to_bits());
+        assert_eq!(managed, evaluated.value().to_bits());
+    }
+
+    #[test]
     fn drm_is_a_no_op_when_already_under_budget() {
-        let (models, cfg, profile, qual, _) = setup();
         // 180 nm runs at ~4000 FIT; a generous budget keeps DRM idle.
-        let node = TechNode::reference();
         let policy = DrmPolicy {
             fit_budget: Fit::new(100_000.0).unwrap(),
             ..DrmPolicy::qualified_budget()
         };
-        let outcome = run_with_drm(
-            &profile,
-            &node,
-            &cfg,
-            &models,
-            &qual,
-            policy,
-            DvsLevel::standard_ladder(&node),
-            None,
-        )
-        .unwrap();
+        let outcome = crafty(&engine(), NodeId::N180, policy);
         assert_eq!(outcome.transitions, 0);
         assert!((outcome.relative_performance - 1.0).abs() < 1e-9);
-        assert!(
-            (outcome.managed_fit.value() - outcome.unmanaged_fit.value()).abs()
-                < outcome.unmanaged_fit.value() * 0.01
+        // With no transition the managed run is the plain run.
+        assert_eq!(
+            outcome.managed_fit.value().to_bits(),
+            outcome.unmanaged_fit.value().to_bits()
         );
     }
 }

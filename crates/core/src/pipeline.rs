@@ -12,8 +12,14 @@
 //!    application's sink temperature stays constant across nodes.
 //! 3. **Second pass** — the activity trace is replayed (several times) at
 //!    1 µs steps with the leakage↔temperature feedback closed, and RAMP
-//!    accumulates instantaneous failure rates per structure.
+//!    accumulates instantaneous failure rates per structure. Each interval
+//!    runs at the DVS level a crate-private `LevelPolicy` hands back (its
+//!    power model and supply voltage), and the policy then observes the
+//!    interval's operating points. A plain run's policy is the node's own
+//!    nominal level; [`crate::drm::run_with_drm`] passes the DRM
+//!    controller. The first pass always runs at the nominal level.
 
+use crate::drm::DvsLevel;
 use crate::mechanisms::FailureModel;
 use crate::rates::{AveragedRates, RateAccumulator};
 use crate::{OperatingPoint, RampError, TechNode};
@@ -27,7 +33,7 @@ use ramp_power::{
 };
 use ramp_thermal::{ThermalParams, ThermalSimulator, ThermalState};
 use ramp_trace::BenchmarkProfile;
-use ramp_units::{ActivityFactor, Kelvin, KelvinDelta, Seconds, Watts};
+use ramp_units::{ActivityFactor, Kelvin, KelvinDelta, Seconds, Volts, Watts};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -221,17 +227,18 @@ pub(crate) fn interval_cycles(node: &TechNode) -> u64 {
     node.frequency.cycles_in(Seconds::MICROSECOND)
 }
 
-/// Builds the node's power model for a benchmark.
-fn power_model(
+/// Builds the node's power model for a benchmark running at `level`.
+pub(crate) fn power_model(
     profile: &BenchmarkProfile,
     node: &TechNode,
     cfg: &PipelineConfig,
+    level: DvsLevel,
 ) -> Result<PowerModel, RampError> {
     let reference = TechNode::reference();
     let scaling = DynamicScaling::new(
         node.capacitance_rel,
-        node.vdd.ratio_to(reference.vdd),
-        node.frequency.ratio_to(reference.frequency),
+        level.voltage.ratio_to(reference.vdd),
+        level.frequency.ratio_to(reference.frequency),
     )
     .map_err(RampError::InvalidConfiguration)?;
     let leakage = LeakageModel::new(
@@ -248,6 +255,22 @@ fn power_model(
         residual,
     )
     .map_err(RampError::InvalidConfiguration)
+}
+
+/// The second pass's per-interval DVS level hook.
+pub(crate) trait LevelPolicy {
+    /// The power model and supply voltage of the next interval.
+    fn level(&self) -> (&PowerModel, Volts);
+    /// Observes the operating points the interval produced.
+    fn observe(&mut self, _ops: &PerStructure<OperatingPoint>) {}
+}
+
+/// A plain run's policy: one power model and supply voltage (the node's
+/// own) in every interval.
+impl LevelPolicy for (PowerModel, Volts) {
+    fn level(&self) -> (&PowerModel, Volts) {
+        (&self.0, self.1)
+    }
 }
 
 /// First pass: power ↔ steady-state-temperature fixed point. Returns the
@@ -317,20 +340,26 @@ pub fn run_app_on_node(
     models: &[Box<dyn FailureModel>],
     reference_power: Option<Watts>,
 ) -> Result<AppNodeRun, RampError> {
-    run_app_filling_intervals(profile, node, cfg, models, reference_power, &[])
+    let nominal = |power| Ok((power, node.vdd));
+    run_app_filling_intervals(profile, node, cfg, models, reference_power, &[], nominal)
+        .map(|(run, _)| run)
 }
 
 /// [`run_app_on_node`] whose timing stage also fills the timing cache at
 /// `extra_intervals` (cycles), in the same engine run, for later runs of
-/// the same benchmark at nodes with those interval lengths.
-pub(crate) fn run_app_filling_intervals(
+/// the same benchmark at nodes with those interval lengths, and whose
+/// second pass runs each interval at the level of the policy `levels`
+/// builds from the node's nominal power model (the first pass's). Returns
+/// the policy with the run, so the caller can read what it observed.
+pub(crate) fn run_app_filling_intervals<P: LevelPolicy>(
     profile: &BenchmarkProfile,
     node: &TechNode,
     cfg: &PipelineConfig,
     models: &[Box<dyn FailureModel>],
     reference_power: Option<Watts>,
     extra_intervals: &[u64],
-) -> Result<AppNodeRun, RampError> {
+    levels: impl FnOnce(PowerModel) -> Result<P, RampError>,
+) -> Result<(AppNodeRun, P), RampError> {
     cfg.validate()?;
     profile
         .validate()
@@ -369,7 +398,7 @@ pub(crate) fn run_app_filling_intervals(
 
     // ---- First pass: steady state / sink initialisation ------------------
     let first_pass_span = ramp_obs::span!("first_pass");
-    let power = power_model(profile, node, cfg)?;
+    let power = power_model(profile, node, cfg, DvsLevel::nominal(node))?;
     let thermal_params = cfg.thermal;
     let area = node.core_area();
     let sim_builder = |avg_power: Watts| -> Result<ThermalSimulator, RampError> {
@@ -395,6 +424,7 @@ pub(crate) fn run_app_filling_intervals(
 
     // ---- Second pass: transient + RAMP accumulation ----------------------
     let second_pass_span = ramp_obs::span!("second_pass");
+    let mut policy = levels(power)?;
     let mut state = initial;
     let mut acc = RateAccumulator::new(models, *node);
     let mut dyn_sum = 0.0;
@@ -416,13 +446,15 @@ pub(crate) fn run_app_filling_intervals(
         .expect("positive sub-step duration"); // ramp-lint:allow(panic-hygiene) -- substeps >= 1 keeps dt positive
     for _ in 0..cfg.trace_repeats {
         for interval in activity.intervals() {
+            let (power, vdd) = policy.level();
             let sample = power.sample(&interval.factors, &state.structures);
             state = sim.step_many(&state, &sample.per_structure_total(), dt, substeps);
             let ops = PerStructure::from_fn(|s| {
                 // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-                OperatingPoint::new(state.structures[s], node.vdd, interval.factors[s])
+                OperatingPoint::new(state.structures[s], vdd, interval.factors[s])
             });
             acc.observe(&ops, 1.0);
+            policy.observe(&ops);
             if samples.is_multiple_of(stride) {
                 if let Some(trace) = thermal_trace.as_mut() {
                     trace.push(state.structures);
@@ -459,7 +491,7 @@ pub(crate) fn run_app_filling_intervals(
     ));
     drop(run_span);
 
-    Ok(AppNodeRun {
+    let run = AppNodeRun {
         app: profile.name.clone(),
         node: *node,
         ipc: out.stats.ipc(),
@@ -473,7 +505,8 @@ pub(crate) fn run_app_filling_intervals(
         peak_activity,
         thermal_trace,
         timings,
-    })
+    };
+    Ok((run, policy))
 }
 
 #[cfg(test)]

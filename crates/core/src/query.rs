@@ -23,11 +23,14 @@
 
 use crate::manifest::{config_digest, fnv1a_hex};
 use crate::mechanisms::{standard_models, FailureModel, MechanismKind, PerMechanism};
-use crate::pipeline::{interval_cycles, run_app_filling_intervals, AppNodeRun, PipelineConfig};
+use crate::pipeline::{
+    interval_cycles, run_app_filling_intervals, AppNodeRun, LevelPolicy, PipelineConfig,
+};
 use crate::qualification::FitReport;
 use crate::rates::AveragedRates;
 use crate::study::StudyConfig;
 use crate::{Executor, NodeId, Qualification, RampError, TechNode, FIT_PER_MECHANISM};
+use ramp_power::PowerModel;
 use ramp_trace::{spec, BenchmarkProfile};
 use ramp_units::{Fit, Kelvin, Mttf, Watts, Years};
 use serde::{Deserialize, Serialize};
@@ -344,25 +347,56 @@ impl QueryEngine {
         })
     }
 
-    /// Runs the pipeline for one query under the study recipe: 180 nm
-    /// directly, scaled nodes anchored to the same workload's 180 nm
-    /// power (constant-sink rule).
+    /// Runs the pipeline for one query under the study recipe (see
+    /// [`QueryEngine::run_anchored`]) and the query's own pipeline
+    /// configuration.
     fn run_query(&self, query: &ReliabilityQuery) -> Result<AppNodeRun, RampError> {
         let profile = spec::profile(&query.benchmark)?;
-        let anchor = if query.node == NodeId::N180 {
+        let node = TechNode::get(query.node);
+        let nominal = |power| Ok((power, node.vdd));
+        self.run_anchored_under(&profile, &node, &query.pipeline, nominal)
+            .map(|(run, _)| run)
+    }
+
+    /// One pipeline run of `profile` at `node` under the study recipe and
+    /// this engine's base pipeline: the 180 nm node runs directly, any
+    /// other node under the constant-sink rule, anchored to the same
+    /// workload's 180 nm power. `node` may be a custom operating point
+    /// (say, a 65 nm node with a what-if supply); only its `id` decides
+    /// whether it is anchored. [`QueryEngine::evaluate`] answers a query
+    /// on the base pipeline from exactly this run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RampError`] for an invalid profile or configuration, or
+    /// a failed thermal solve.
+    pub fn run_anchored(
+        &self,
+        profile: &BenchmarkProfile,
+        node: &TechNode,
+    ) -> Result<AppNodeRun, RampError> {
+        let nominal = |power| Ok((power, node.vdd));
+        self.run_anchored_under(profile, node, &self.base, nominal)
+            .map(|(run, _)| run)
+    }
+
+    /// The anchored run under `pipeline`, whose second pass takes each
+    /// interval's DVS level from the policy `levels` builds; see
+    /// [`run_app_filling_intervals`].
+    pub(crate) fn run_anchored_under<P: LevelPolicy>(
+        &self,
+        profile: &BenchmarkProfile,
+        node: &TechNode,
+        pipeline: &PipelineConfig,
+        levels: impl FnOnce(PowerModel) -> Result<P, RampError>,
+    ) -> Result<(AppNodeRun, P), RampError> {
+        let anchor = if node.id == NodeId::N180 {
             None
         } else {
-            let reference =
-                self.run(&profile, &TechNode::reference(), &query.pipeline, None, &[])?;
+            let reference = self.run(profile, &TechNode::reference(), pipeline, None, &[])?;
             Some(reference.avg_total())
         };
-        self.run(
-            &profile,
-            &TechNode::get(query.node),
-            &query.pipeline,
-            anchor,
-            &[],
-        )
+        run_app_filling_intervals(profile, node, pipeline, &self.models, anchor, &[], levels)
     }
 
     /// One pipeline run of `profile` at `node` with this engine's models.
@@ -378,6 +412,7 @@ impl QueryEngine {
         reference_power: Option<Watts>,
         extra_intervals: &[u64],
     ) -> Result<AppNodeRun, RampError> {
+        let nominal = |power| Ok((power, node.vdd));
         run_app_filling_intervals(
             profile,
             node,
@@ -385,7 +420,9 @@ impl QueryEngine {
             &self.models,
             reference_power,
             extra_intervals,
+            nominal,
         )
+        .map(|(run, _)| run)
     }
 
     /// Evaluates the average chip for `query` and packages everything a

@@ -12,20 +12,14 @@
 //! ```
 
 use ramp_core::drm::{run_with_drm, DrmPolicy, DvsLevel};
-use ramp_core::mechanisms::standard_models;
-use ramp_core::{run_app_on_node, NodeId, PipelineConfig, Qualification, TechNode};
+use ramp_core::{NodeId, QueryEngine, StudyConfig, TechNode};
 use ramp_trace::spec;
 use ramp_units::Fit;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let models = standard_models();
-    let cfg = PipelineConfig::quick();
-    let profile = spec::profile("crafty")?;
-
     // Qualify at 180 nm: 4000 FIT total across the four mechanisms.
-    let reference = run_app_on_node(&profile, &TechNode::reference(), &cfg, &models, None)?;
-    let qual = Qualification::from_reference_runs(&[reference.rates])
-        .map_err(ramp_core::RampError::Qualification)?;
+    let engine = QueryEngine::calibrate(&StudyConfig::quick().with_benchmarks(&["crafty"])?)?;
+    let profile = spec::profile("crafty")?;
 
     let node = TechNode::get(NodeId::N65HighV);
     let ladder = DvsLevel::standard_ladder(&node);
@@ -45,16 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         decision_intervals: 10,
         hysteresis: 0.05,
     };
-    let outcome = run_with_drm(
-        &profile,
-        &node,
-        &cfg,
-        &models,
-        &qual,
-        policy,
-        ladder,
-        Some(reference.avg_total()),
-    )?;
+    let outcome = run_with_drm(&engine, &profile, &node, policy, ladder)?;
 
     println!();
     println!("crafty @ {} under a {:.0}-FIT budget:", node.id, policy.fit_budget.value());

@@ -8,26 +8,15 @@
 //! cargo run --example dvs_what_if --release
 //! ```
 
-use ramp_core::mechanisms::{standard_models, MechanismKind};
-use ramp_core::{run_app_on_node, NodeId, PipelineConfig, Qualification, TechNode};
+use ramp_core::mechanisms::MechanismKind;
+use ramp_core::{NodeId, QueryEngine, StudyConfig, TechNode};
 use ramp_trace::spec;
 use ramp_units::Volts;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let profile = spec::profile("apsi")?;
-    let cfg = PipelineConfig::quick();
-    let models = standard_models();
-
     // Qualify at the 180 nm reference as usual.
-    let reference = run_app_on_node(
-        &profile,
-        &TechNode::get(NodeId::N180),
-        &cfg,
-        &models,
-        None,
-    )?;
-    let qual = Qualification::from_reference_runs(&[reference.rates])
-        .map_err(ramp_core::RampError::Qualification)?;
+    let engine = QueryEngine::calibrate(&StudyConfig::quick().with_benchmarks(&["apsi"])?)?;
+    let profile = spec::profile("apsi")?;
 
     println!("apsi @ 65nm: supply-voltage sweep (DVS what-if)");
     println!(
@@ -44,8 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         node.leakage_density = ramp_units::PowerDensity::new(
             0.54 + (vdd.value() - 0.9) * 0.6,
         )?;
-        let run = run_app_on_node(&profile, &node, &cfg, &models, Some(reference.avg_total()))?;
-        let report = qual.fit_report(&run.rates);
+        // Anchored to apsi's 180 nm power (constant-sink rule).
+        let run = engine.run_anchored(&profile, &node)?;
+        let report = engine.qualification().fit_report(&run.rates);
         println!(
             "{:<8} {:>9.1} {:>8.1} {:>9.0} {:>9.0} {:>9.0}",
             format!("{:.2} V", vdd.value()),

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build + full test suite with a locked dependency
 # graph, a run of every example, static analysis, the determinism matrix at two RAMP_THREADS
-# values, the obs/trace/alloc/bench/fleet/serve smokes, and a short run
+# values, the paper-headline bands on the full-length study, the
+# obs/trace/alloc/bench/fleet/serve smokes, and a short run
 # of every benchmark workload.
 #
 # Usage: scripts/verify.sh
@@ -61,6 +62,13 @@ for threads in 1 4; do
     RAMP_THREADS="${threads}" cargo test --release --locked -q \
         --test determinism
 done
+
+echo "== paper headlines: the full-length study against the paper's bands =="
+# tests/paper_headlines.rs runs the production-length 16x5 study and
+# asserts the headline numbers (FIT growth band, mechanism ordering,
+# temperature rise, constant sink, 180 nm margin). It is #[ignore]d, so
+# the debug tier-1 `cargo test -q` skips it; here it runs in release.
+cargo test --release --locked --test paper_headlines -- --ignored
 
 echo "== obs + trace smoke: JSONL events, manifest, trace export, critical path =="
 # Runs a traced quick study with debug logging, then validates the Chrome

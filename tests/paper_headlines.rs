@@ -1,10 +1,11 @@
 //! Full-fidelity reproduction checks of the paper's headline numbers.
 //!
-//! These run the production-length study (a few minutes on one core) and
-//! are therefore `#[ignore]`d by default; run them explicitly with
+//! These run the production-length study (30–40 s in release on a
+//! 2-vCPU host) and are therefore `#[ignore]`d in the debug tier-1
+//! `cargo test`; `scripts/verify.sh` and CI run them explicitly with
 //!
 //! ```text
-//! cargo test --release --test paper_headlines -- --ignored
+//! cargo test --release --locked --test paper_headlines -- --ignored
 //! ```
 //!
 //! The asserted bands are deliberately generous: EXPERIMENTS.md records
@@ -22,7 +23,7 @@ fn growth(results: &ramp_core::StudyResults, suite: Suite, node: NodeId) -> f64 
 }
 
 #[test]
-#[ignore = "runs the full multi-minute 16x5 study"]
+#[ignore = "runs the full-length 16x5 study; release only"]
 fn full_study_reproduces_headline_bands() {
     let results = run_study(&StudyConfig::default()).expect("full study");
 
