@@ -14,9 +14,9 @@
 //! thickness δ does not). The failure-rate multiplier is therefore
 //! `1/κ²`.
 
-use super::{FailureModel, MechanismKind};
+use super::{FailureModel, MechanismKernel, MechanismKind};
 use crate::{OperatingPoint, TechNode};
-use ramp_units::BOLTZMANN_EV_PER_K;
+use ramp_units::{ActivityFactor, CurrentDensity, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 use serde::{Deserialize, Serialize};
 
 /// Electromigration failure model.
@@ -71,6 +71,40 @@ impl Electromigration {
             geometry_exponent: 2.0,
         }
     }
+
+    /// This model with `node`'s geometry penalty `κ^{−g}` evaluated.
+    #[must_use]
+    pub fn prepare(&self, node: &TechNode) -> EmKernel {
+        EmKernel {
+            model: *self,
+            j_max: node.j_max,
+            geometry: node.scale_factor.powf(-self.geometry_exponent),
+        }
+    }
+}
+
+/// [`Electromigration`] prepared for one node. Hoists `J^n`, the
+/// current-density term at one activity.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EmKernel {
+    model: Electromigration,
+    j_max: CurrentDensity,
+    geometry: f64,
+}
+
+impl MechanismKernel for EmKernel {
+    type Hoisted = f64;
+
+    fn hoist(&self, _voltage: Volts, activity: ActivityFactor) -> f64 {
+        let j = self.j_max.at_activity(activity).value();
+        j.powf(self.model.current_exponent)
+    }
+
+    fn rate_at(&self, current_term: f64, temperature: Kelvin) -> f64 {
+        let arrhenius =
+            (-self.model.activation_energy_ev / (BOLTZMANN_EV_PER_K * temperature.value())).exp();
+        current_term * arrhenius * self.geometry
+    }
 }
 
 impl FailureModel for Electromigration {
@@ -79,11 +113,7 @@ impl FailureModel for Electromigration {
     }
 
     fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
-        let j = node.j_max.at_activity(op.activity).value();
-        let arrhenius =
-            (-self.activation_energy_ev / (BOLTZMANN_EV_PER_K * op.temperature.value())).exp();
-        let geometry = node.scale_factor.powf(-self.geometry_exponent);
-        j.powf(self.current_exponent) * arrhenius * geometry
+        self.prepare(node).rate(op)
     }
 }
 

@@ -17,18 +17,25 @@
 //! | SM   | `\|T−T₀\|^m e^{−Ea/kT}` (rate) | — | — |
 //! | TDDB | super-exponential | `V^{a−bT}` (rate) | `10^{Δt_ox/s}`, gate area |
 //! | TC   | `(T−T_ambient)^q` (rate) | — | — |
+//!
+//! Each concrete mechanism also has a `prepare(&TechNode)` form, a
+//! [`MechanismKernel`] that holds the node's invariant factors. Its
+//! `relative_rate` is that kernel's [`MechanismKernel::rate`], so each
+//! rate formula exists once and a hot loop that prepares once per node
+//! reproduces the trait's results bit for bit.
 
 mod em;
 mod sm;
 mod tc;
 mod tddb;
 
-pub use em::Electromigration;
+pub use em::{Electromigration, EmKernel};
 pub use sm::StressMigration;
 pub use tc::ThermalCycling;
-pub use tddb::DielectricBreakdown;
+pub use tddb::{DielectricBreakdown, TddbKernel};
 
 use crate::{OperatingPoint, TechNode};
+use ramp_units::{ActivityFactor, Kelvin, Volts};
 use serde::{Deserialize, Serialize};
 
 /// Identifies one of the four modelled failure mechanisms.
@@ -100,15 +107,81 @@ pub trait FailureModel: std::fmt::Debug + Send + Sync {
     fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64;
 }
 
+/// One mechanism's rate expression with a node's invariant factors
+/// already evaluated (built by the mechanism's `prepare`).
+///
+/// The per-operating-point inputs split once more. Temperature moves on
+/// every evaluation; the supply and activity terms can be evaluated once
+/// with [`MechanismKernel::hoist`] by a caller that prices many
+/// temperatures at one supply and activity.
+pub trait MechanismKernel: Copy {
+    /// The evaluated supply and activity terms (`()` for a mechanism that
+    /// depends on neither).
+    type Hoisted: Copy;
+
+    /// Evaluates the supply and activity terms.
+    fn hoist(&self, voltage: Volts, activity: ActivityFactor) -> Self::Hoisted;
+
+    /// Relative rate at `temperature`, given the hoisted terms.
+    fn rate_at(&self, hoisted: Self::Hoisted, temperature: Kelvin) -> f64;
+
+    /// Relative rate at one operating point: the value of
+    /// [`FailureModel::relative_rate`] on the prepared node.
+    fn rate(&self, op: &OperatingPoint) -> f64 {
+        self.rate_at(self.hoist(op.voltage, op.activity), op.temperature)
+    }
+}
+
+/// The four mechanisms as concrete types, one of each. `Default` is the
+/// standard (paper/calibrated) parameter set.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct MechanismSet {
+    /// Electromigration.
+    pub em: Electromigration,
+    /// Stress migration.
+    pub sm: StressMigration,
+    /// Gate-oxide breakdown.
+    pub tddb: DielectricBreakdown,
+    /// Thermal cycling.
+    pub tc: ThermalCycling,
+}
+
+impl MechanismSet {
+    /// Every mechanism prepared for `node`.
+    #[must_use]
+    pub fn prepare(&self, node: &TechNode) -> PreparedSet {
+        PreparedSet {
+            em: self.em.prepare(node),
+            sm: self.sm.prepare(node),
+            tddb: self.tddb.prepare(node),
+            tc: self.tc.prepare(node),
+        }
+    }
+}
+
+/// The four kernels of one node (see [`MechanismSet::prepare`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedSet {
+    /// Electromigration kernel.
+    pub em: EmKernel,
+    /// Stress migration (its own kernel).
+    pub sm: StressMigration,
+    /// Gate-oxide breakdown kernel.
+    pub tddb: TddbKernel,
+    /// Thermal cycling (its own kernel).
+    pub tc: ThermalCycling,
+}
+
 /// The standard model set: all four mechanisms with their default
-/// (paper/calibrated) parameters.
+/// (paper/calibrated) parameters, in canonical order.
 #[must_use]
 pub fn standard_models() -> Vec<Box<dyn FailureModel>> {
+    let set = MechanismSet::default();
     vec![
-        Box::new(Electromigration::default()),
-        Box::new(StressMigration::default()),
-        Box::new(DielectricBreakdown::default()),
-        Box::new(ThermalCycling::default()),
+        Box::new(set.em),
+        Box::new(set.sm),
+        Box::new(set.tddb),
+        Box::new(set.tc),
     ]
 }
 

@@ -8,9 +8,9 @@
 //! temperatures, so hotter structures fail sooner — just less steeply than
 //! under electromigration. Scaling touches SM only through temperature.
 
-use super::{FailureModel, MechanismKind};
+use super::{FailureModel, MechanismKernel, MechanismKind};
 use crate::{OperatingPoint, TechNode};
-use ramp_units::{Kelvin, BOLTZMANN_EV_PER_K};
+use ramp_units::{ActivityFactor, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 use serde::{Deserialize, Serialize};
 
 /// Stress-migration failure model.
@@ -48,16 +48,35 @@ impl Default for StressMigration {
     }
 }
 
+impl StressMigration {
+    /// This model's kernel. No node parameter enters stress migration, so
+    /// the model is its own kernel.
+    #[must_use]
+    pub fn prepare(&self, _node: &TechNode) -> StressMigration {
+        *self
+    }
+}
+
+impl MechanismKernel for StressMigration {
+    type Hoisted = ();
+
+    fn hoist(&self, _voltage: Volts, _activity: ActivityFactor) {}
+
+    fn rate_at(&self, (): (), temperature: Kelvin) -> f64 {
+        let t = temperature.value();
+        let stress = (self.stress_free_temp.value() - t).abs();
+        let arrhenius = (-self.activation_energy_ev / (BOLTZMANN_EV_PER_K * t)).exp();
+        stress.powf(self.stress_exponent) * arrhenius
+    }
+}
+
 impl FailureModel for StressMigration {
     fn kind(&self) -> MechanismKind {
         MechanismKind::Sm
     }
 
-    fn relative_rate(&self, op: &OperatingPoint, _node: &TechNode) -> f64 {
-        let t = op.temperature.value();
-        let stress = (self.stress_free_temp.value() - t).abs();
-        let arrhenius = (-self.activation_energy_ev / (BOLTZMANN_EV_PER_K * t)).exp();
-        stress.powf(self.stress_exponent) * arrhenius
+    fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
+        self.prepare(node).rate(op)
     }
 }
 

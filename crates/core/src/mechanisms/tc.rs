@@ -9,9 +9,9 @@
 //! with a power-law rather than exponential dependence its growth is the
 //! gentlest of the four mechanisms.
 
-use super::{FailureModel, MechanismKind};
+use super::{FailureModel, MechanismKernel, MechanismKind};
 use crate::{OperatingPoint, TechNode};
-use ramp_units::Kelvin;
+use ramp_units::{ActivityFactor, Kelvin, Volts};
 use serde::{Deserialize, Serialize};
 
 /// Thermal-cycling failure model.
@@ -46,16 +46,35 @@ impl Default for ThermalCycling {
     }
 }
 
+impl ThermalCycling {
+    /// This model's kernel. No node parameter enters thermal cycling, so
+    /// the model is its own kernel.
+    #[must_use]
+    pub fn prepare(&self, _node: &TechNode) -> ThermalCycling {
+        *self
+    }
+}
+
+impl MechanismKernel for ThermalCycling {
+    type Hoisted = ();
+
+    fn hoist(&self, _voltage: Volts, _activity: ActivityFactor) {}
+
+    fn rate_at(&self, (): (), temperature: Kelvin) -> f64 {
+        // The engine feeds the running-average temperature through the
+        // operating point; a structure cooler than ambient never cycles.
+        let swing = (temperature - self.ambient).max(0.0);
+        swing.powf(self.coffin_manson_exponent)
+    }
+}
+
 impl FailureModel for ThermalCycling {
     fn kind(&self) -> MechanismKind {
         MechanismKind::Tc
     }
 
-    fn relative_rate(&self, op: &OperatingPoint, _node: &TechNode) -> f64 {
-        // The engine feeds the running-average temperature through the
-        // operating point; a structure cooler than ambient never cycles.
-        let swing = (op.temperature - self.ambient).max(0.0);
-        swing.powf(self.coffin_manson_exponent)
+    fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
+        self.prepare(node).rate(op)
     }
 }
 

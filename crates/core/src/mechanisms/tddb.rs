@@ -20,9 +20,9 @@
 //!   direction (smaller scaled area ⇒ longer life); the paper's Eq. 5
 //!   prints the ratio inverted (DESIGN.md §5).
 
-use super::{FailureModel, MechanismKind};
+use super::{FailureModel, MechanismKernel, MechanismKind};
 use crate::{OperatingPoint, TechNode};
-use ramp_units::{Kelvin, BOLTZMANN_EV_PER_K};
+use ramp_units::{ActivityFactor, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 use serde::{Deserialize, Serialize};
 
 /// Gate-oxide breakdown failure model.
@@ -111,6 +111,40 @@ impl DielectricBreakdown {
         let t = t.value();
         (self.x_ev + self.y_ev_k / t + self.z_ev_per_k * t) / (BOLTZMANN_EV_PER_K * t)
     }
+
+    /// This model with `node`'s oxide term `ln 10^{Δtox/s}` and gate-area
+    /// term `ln A_rel` evaluated.
+    #[must_use]
+    pub fn prepare(&self, node: &TechNode) -> TddbKernel {
+        TddbKernel {
+            model: *self,
+            ln_tox: node.tox_reduction_nm() / self.nm_per_decade * std::f64::consts::LN_10,
+            ln_area: node.area_rel.ln(),
+        }
+    }
+}
+
+/// [`DielectricBreakdown`] prepared for one node. Hoists `ln V`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TddbKernel {
+    model: DielectricBreakdown,
+    ln_tox: f64,
+    ln_area: f64,
+}
+
+impl MechanismKernel for TddbKernel {
+    type Hoisted = f64;
+
+    fn hoist(&self, voltage: Volts, _activity: ActivityFactor) -> f64 {
+        voltage.value().ln()
+    }
+
+    fn rate_at(&self, ln_v: f64, t: Kelvin) -> f64 {
+        // Rate = 1/MTTF: V^{a−bT} · e^{−(X+Y/T+ZT)/kT} · 10^{Δtox/s} · A_rel.
+        let ln_voltage = self.model.voltage_exponent(t) * ln_v;
+        let ln_arrhenius = -self.model.arrhenius_exponent(t);
+        (ln_voltage + ln_arrhenius + self.ln_tox + self.ln_area).exp()
+    }
 }
 
 impl FailureModel for DielectricBreakdown {
@@ -119,13 +153,7 @@ impl FailureModel for DielectricBreakdown {
     }
 
     fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
-        let t = op.temperature;
-        // Rate = 1/MTTF: V^{a−bT} · e^{−(X+Y/T+ZT)/kT} · 10^{Δtox/s} · A_rel.
-        let ln_voltage = self.voltage_exponent(t) * op.voltage.value().ln();
-        let ln_arrhenius = -self.arrhenius_exponent(t);
-        let ln_tox = node.tox_reduction_nm() / self.nm_per_decade * std::f64::consts::LN_10;
-        let ln_area = node.area_rel.ln();
-        (ln_voltage + ln_arrhenius + ln_tox + ln_area).exp()
+        self.prepare(node).rate(op)
     }
 }
 

@@ -59,5 +59,7 @@ pub use accumulator::{PopulationAccumulator, PopulationSummary, YEAR_MARKS};
 pub use chip::{ChipOutcome, ChipSampler};
 pub use population::{run_fleet, FleetConfig, FleetResults, NodePopulation};
 pub use rng::{chip_rng, open_unit};
-pub use sampler::{inverse_normal_cdf, CoffinManson, Lognormal, TruncatedNormal};
-pub use variation::{ChipVariation, VariationModel};
+pub use sampler::{
+    inverse_normal_cdf, CoffinManson, CoffinMansonShape, Lognormal, TruncatedNormal,
+};
+pub use variation::{ChipVariation, VariationModel, VariationSampler};

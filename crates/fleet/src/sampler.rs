@@ -270,25 +270,6 @@ pub struct CoffinManson {
 }
 
 impl CoffinManson {
-    /// Sampler whose *mean* lifetime is `mean_years`
-    /// (`scale = mean / Γ(1 + 1/β)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_years` is not finite and positive.
-    #[must_use]
-    // ramp-lint:allow(unit-safety) -- year-denominated mean documented in the name
-    pub fn from_mean_years(mean_years: f64, shape: WeibullShape) -> Self {
-        assert!(
-            mean_years.is_finite() && mean_years > 0.0,
-            "Coffin–Manson mean life must be positive, got {mean_years}"
-        );
-        CoffinManson {
-            scale_years: mean_years / gamma_fn(1.0 + 1.0 / shape.value()),
-            shape,
-        }
-    }
-
     /// The Coffin–Manson mean life at swing `delta_t`, transferred from a
     /// known mean at a reference swing: `mean · (ΔT_ref / ΔT)^{exponent}`.
     /// Strictly decreasing in `delta_t` — hotter cycling fails sooner.
@@ -324,6 +305,43 @@ impl CoffinManson {
     pub fn sample_years(&self, rng: &mut Rng) -> f64 {
         let u = open_unit(rng);
         self.scale_years * (-(1.0 - u).ln()).powf(1.0 / self.shape.value())
+    }
+}
+
+/// A Weibull shape with its mean-to-scale divisor Γ(1 + 1/β) evaluated
+/// once, for building many [`CoffinManson`] samplers of one shape.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CoffinMansonShape {
+    shape: WeibullShape,
+    gamma: f64,
+}
+
+impl CoffinMansonShape {
+    /// Evaluates Γ(1 + 1/β) for `shape`.
+    #[must_use]
+    pub fn new(shape: WeibullShape) -> Self {
+        CoffinMansonShape {
+            shape,
+            gamma: gamma_fn(1.0 + 1.0 / shape.value()),
+        }
+    }
+
+    /// The sampler of this shape whose *mean* lifetime is `mean_years`
+    /// (`scale = mean / Γ(1 + 1/β)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean_years` is not finite and positive.
+    #[must_use]
+    pub fn with_mean_years(&self, mean_years: f64) -> CoffinManson {
+        assert!(
+            mean_years.is_finite() && mean_years > 0.0,
+            "Coffin–Manson mean life must be positive, got {mean_years}"
+        );
+        CoffinManson {
+            scale_years: mean_years / self.gamma,
+            shape: self.shape,
+        }
     }
 }
 

@@ -49,11 +49,11 @@ pub struct VariationModel {
 impl Default for VariationModel {
     fn default() -> Self {
         VariationModel {
-            tox_fraction_sigma: Sigma::new(0.02).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
-            temperature_sigma_kelvin: Sigma::new(3.0).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
-            geometry_fraction_sigma: Sigma::new(0.03).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
-            lifetime_sigma: Sigma::new(0.5).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
-            tc_shape: WeibullShape::new(2.0).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
+            tox_fraction_sigma: Sigma::new_const(0.02),
+            temperature_sigma_kelvin: Sigma::new_const(3.0),
+            geometry_fraction_sigma: Sigma::new_const(0.03),
+            lifetime_sigma: Sigma::new_const(0.5),
+            tc_shape: WeibullShape::new_const(2.0),
         }
     }
 }
@@ -70,7 +70,7 @@ impl VariationModel {
             temperature_sigma_kelvin: Sigma::ZERO,
             geometry_fraction_sigma: Sigma::ZERO,
             lifetime_sigma: Sigma::ZERO,
-            tc_shape: WeibullShape::new(1e6).expect("static constant"), // ramp-lint:allow(panic-hygiene) -- static constant is valid by construction
+            tc_shape: WeibullShape::new_const(1e6),
         }
     }
 }
@@ -86,25 +86,42 @@ pub struct ChipVariation {
     pub geometry_factor: f64,
 }
 
-impl ChipVariation {
+/// The three process-variation draws of one [`VariationModel`], with
+/// their truncation windows built once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VariationSampler {
+    tox: TruncatedNormal,
+    temperature: TruncatedNormal,
+    geometry: TruncatedNormal,
+}
+
+impl VariationSampler {
+    /// The ±[`TRUNCATION_SIGMAS`]σ windows of `model`'s three draws.
+    #[must_use]
+    pub fn new(model: &VariationModel) -> Self {
+        let factor = |sigma| TruncatedNormal::symmetric(1.0, sigma, TRUNCATION_SIGMAS);
+        VariationSampler {
+            tox: factor(model.tox_fraction_sigma),
+            temperature: TruncatedNormal::symmetric(
+                0.0,
+                model.temperature_sigma_kelvin,
+                TRUNCATION_SIGMAS,
+            ),
+            geometry: factor(model.geometry_fraction_sigma),
+        }
+    }
+
     /// Draws one chip's variation. Consumes the stream in a fixed order
     /// (t_ox, temperature, geometry) so the draw layout is part of the
     /// fleet's determinism contract.
     #[must_use]
-    pub fn sample(model: &VariationModel, rng: &mut Rng) -> ChipVariation {
-        let factor = |sigma: Sigma, rng: &mut Rng| {
-            // A multiplicative factor can never reach 0 inside a ±3σ
-            // window for any sane sigma, but the floor makes the
-            // guarantee unconditional.
-            TruncatedNormal::symmetric(1.0, sigma, TRUNCATION_SIGMAS)
-                .sample(rng)
-                .max(0.05)
-        };
-        let tox_factor = factor(model.tox_fraction_sigma, rng);
-        let temperature_offset_kelvin =
-            TruncatedNormal::symmetric(0.0, model.temperature_sigma_kelvin, TRUNCATION_SIGMAS)
-                .sample(rng);
-        let geometry_factor = factor(model.geometry_fraction_sigma, rng);
+    pub fn sample(&self, rng: &mut Rng) -> ChipVariation {
+        // A multiplicative factor can never reach 0 inside a ±3σ window
+        // for any sane sigma, but the floor makes the guarantee
+        // unconditional.
+        let tox_factor = self.tox.sample(rng).max(0.05);
+        let temperature_offset_kelvin = self.temperature.sample(rng);
+        let geometry_factor = self.geometry.sample(rng).max(0.05);
         ChipVariation {
             tox_factor,
             temperature_offset_kelvin,
@@ -120,10 +137,10 @@ mod tests {
 
     #[test]
     fn draws_respect_truncation_windows() {
-        let model = VariationModel::default();
+        let draws = VariationSampler::new(&VariationModel::default());
         for chip in 0..10_000 {
             let mut rng = chip_rng(3, 0, chip);
-            let v = ChipVariation::sample(&model, &mut rng);
+            let v = draws.sample(&mut rng);
             assert!((v.tox_factor - 1.0).abs() <= 3.0 * 0.02 + 1e-12);
             assert!(v.temperature_offset_kelvin.abs() <= 9.0 + 1e-12);
             assert!((v.geometry_factor - 1.0).abs() <= 3.0 * 0.03 + 1e-12);
@@ -132,9 +149,9 @@ mod tests {
 
     #[test]
     fn degenerate_model_produces_the_average_chip() {
-        let model = VariationModel::degenerate();
+        let draws = VariationSampler::new(&VariationModel::degenerate());
         let mut rng = chip_rng(4, 0, 0);
-        let v = ChipVariation::sample(&model, &mut rng);
+        let v = draws.sample(&mut rng);
         assert_eq!(v.tox_factor, 1.0);
         assert_eq!(v.temperature_offset_kelvin, 0.0);
         assert_eq!(v.geometry_factor, 1.0);

@@ -7,7 +7,9 @@
 //! monotone in the temperature swing).
 
 use proptest::prelude::*;
-use ramp_fleet::{chip_rng, inverse_normal_cdf, CoffinManson, Lognormal, TruncatedNormal};
+use ramp_fleet::{
+    chip_rng, inverse_normal_cdf, CoffinManson, CoffinMansonShape, Lognormal, TruncatedNormal,
+};
 use ramp_units::{Sigma, WeibullShape};
 
 /// Draws `n` lognormal samples from a deterministic stream.
@@ -80,7 +82,8 @@ proptest! {
         shape in 0.5f64..8.0,
         seed in 0u64..10_000,
     ) {
-        let dist = CoffinManson::from_mean_years(mean_years, WeibullShape::new(shape).unwrap());
+        let dist = CoffinMansonShape::new(WeibullShape::new(shape).unwrap())
+            .with_mean_years(mean_years);
         let mut rng = chip_rng(seed, 2, 0);
         for _ in 0..64 {
             let years = dist.sample_years(&mut rng);

@@ -31,6 +31,18 @@ quantity! {
 impl Sigma {
     /// No scatter: every draw collapses to the distribution's median.
     pub const ZERO: Sigma = Sigma(0.0);
+
+    /// Const constructor for compile-time-known sigmas.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time when used in a `const` context) unless the
+    /// value is finite and `>= 0`.
+    #[must_use]
+    pub const fn new_const(value: f64) -> Sigma {
+        assert!(value >= 0.0 && value < f64::INFINITY, "sigma out of range");
+        Sigma(value)
+    }
 }
 
 quantity! {
@@ -101,6 +113,23 @@ quantity! {
     valid = |v| v > 0.0
 }
 
+impl WeibullShape {
+    /// Const constructor for compile-time-known shapes.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time when used in a `const` context) unless the
+    /// value is finite and `> 0`.
+    #[must_use]
+    pub const fn new_const(value: f64) -> WeibullShape {
+        assert!(
+            value > 0.0 && value < f64::INFINITY,
+            "Weibull shape out of range"
+        );
+        WeibullShape(value)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,6 +155,27 @@ mod tests {
         assert_eq!(Probability::from_counts(0, 0), Probability::ZERO);
         assert_eq!(Probability::from_counts(5, 5), Probability::ONE);
         assert!((Probability::from_counts(1, 4).value() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn const_constructors_match_the_checked_ones() {
+        const SIGMA: Sigma = Sigma::new_const(0.02);
+        const SHAPE: WeibullShape = WeibullShape::new_const(2.0);
+        assert_eq!(SIGMA, Sigma::new(0.02).unwrap());
+        assert_eq!(SHAPE, WeibullShape::new(2.0).unwrap());
+        assert_eq!(Sigma::new_const(0.0), Sigma::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma out of range")]
+    fn sigma_const_rejects_negative() {
+        let _ = Sigma::new_const(-0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Weibull shape out of range")]
+    fn weibull_shape_const_rejects_zero() {
+        let _ = WeibullShape::new_const(0.0);
     }
 
     #[test]

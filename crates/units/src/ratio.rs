@@ -39,6 +39,18 @@ impl ActivityFactor {
         .map(Self)
     }
 
+    /// Const constructor for compile-time-known activity factors.
+    ///
+    /// # Panics
+    ///
+    /// Panics (at compile time when used in a `const` context) unless the
+    /// value is in `[0, 1]`.
+    #[must_use]
+    pub const fn new_const(value: f64) -> ActivityFactor {
+        assert!(value >= 0.0 && value <= 1.0, "activity factor out of range");
+        ActivityFactor(value)
+    }
+
     /// Creates an activity factor from an event count over a capacity,
     /// clamping to `[0, 1]`.
     ///
@@ -93,6 +105,12 @@ mod tests {
         assert!(ActivityFactor::new(-0.1).is_err());
         assert!(ActivityFactor::new(1.1).is_err());
         assert!(ActivityFactor::new(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn new_const_matches_new() {
+        const HALF: ActivityFactor = ActivityFactor::new_const(0.5);
+        assert_eq!(HALF, ActivityFactor::new(0.5).unwrap());
     }
 
     #[test]
