@@ -30,7 +30,7 @@ pub struct FileContext {
     pub tokens: Vec<Token>,
     /// Indices into `tokens` of the non-comment tokens, in order.
     pub code: Vec<usize>,
-    /// Lines carrying `// ramp-lint:allow(rule, …)` → the allowed rules.
+    /// Lines carrying an inline allow directive → the rules it names.
     pub allows: BTreeMap<u32, BTreeSet<String>>,
     /// Half-open ranges of raw-token indices inside `#[cfg(test)]` items.
     pub test_spans: Vec<(usize, usize)>,
@@ -114,7 +114,8 @@ impl FileContext {
     }
 }
 
-/// Extracts `ramp-lint:allow(rule, …)` directives from comment tokens.
+/// Extracts inline allow directives (`ramp-lint:allow` and a
+/// parenthesised, comma-separated rule list) from comment tokens.
 /// The directive suppresses findings on its own line and the line below,
 /// so it can trail the offending statement or sit directly above it.
 fn collect_allows(tokens: &[Token]) -> BTreeMap<u32, BTreeSet<String>> {

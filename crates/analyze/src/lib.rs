@@ -6,7 +6,7 @@
 //! byte-identical results across thread counts, observability routed
 //! through `ramp-obs`, non-panicking library paths — are easy to erode
 //! one innocuous edit at a time. The `ramp-lint` binary in this crate
-//! walks every first-party crate and checks nine named rules:
+//! walks every first-party crate and checks ten named rules:
 //!
 //! | rule | severity | scope | what it catches |
 //! |---|---|---|---|
@@ -19,6 +19,7 @@
 //! | `float-determinism` | error | structural | float accumulation in `Executor` closures / merge callbacks |
 //! | `atomic-ordering` | warning | cross-file | Relaxed stores paired with Acquire loads; stray atomics |
 //! | `alloc-hygiene` | warning | cross-file | allocations in declared hot paths |
+//! | `allow-hygiene` | warning | token | inline allows naming an unknown rule or one that never runs on the file |
 //!
 //! The token rules are lexical ([`lexer`]); the v2 rules add a total
 //! item-level parser ([`parse`]), per-file summaries ([`summary`]), a
@@ -28,9 +29,10 @@
 //! `target/ramp-lint-cache/` ([`cache`]) so unchanged files skip
 //! re-analysis.
 //!
-//! Two escape hatches keep the gate honest instead of noisy:
-//! `// ramp-lint:allow(rule)` on (or directly above) a line documents an
-//! individual exception in place, and `lint-baseline.toml` accepts
+//! Two escape hatches keep the gate honest instead of noisy: an inline
+//! `ramp-lint:allow` comment naming the rule, on (or directly above) a
+//! line, documents an individual exception in place (`allow-hygiene`
+//! rejects one that suppresses nothing), and `lint-baseline.toml` accepts
 //! pre-existing findings by `(rule, file, symbol)` so the gate can be
 //! introduced into a living codebase and burned down over time.
 

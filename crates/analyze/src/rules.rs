@@ -19,7 +19,7 @@ pub struct RuleMeta {
 }
 
 /// Every rule, token-local and cross-file, in reporting order.
-pub const RULES: [RuleMeta; 9] = [
+pub const RULES: [RuleMeta; 10] = [
     RuleMeta {
         name: "unit-safety",
         severity: Severity::Error,
@@ -65,6 +65,11 @@ pub const RULES: [RuleMeta; 9] = [
         severity: Severity::Warning,
         summary: "allocation-prone constructs in declared hot paths",
     },
+    RuleMeta {
+        name: "allow-hygiene",
+        severity: Severity::Warning,
+        summary: "inline allows naming an unknown rule or one that never runs on the file",
+    },
 ];
 
 /// Looks a rule up by name (used to rehydrate `&'static` rule names from
@@ -95,27 +100,44 @@ const PANIC_EXEMPT: [&str; 1] = ["bench"];
 /// registry itself, so its internals handle names generically.
 const SPAN_EXEMPT: [&str; 1] = ["obs"];
 
+/// Whether `rule` reads files of kind `kind` in crate `crate_name`:
+/// the one scope table rule dispatch and [`allow_hygiene`] share. Only
+/// library files are analyzed. The cross-file rules read every library
+/// file (panic-reach follows calls into any crate).
+#[must_use]
+fn runs_on(rule: &str, crate_name: &str, kind: FileKind) -> bool {
+    let listed = |crates: &[&str]| crates.contains(&crate_name);
+    kind == FileKind::Lib
+        && match rule {
+            "unit-safety" => listed(&UNIT_SAFE_CRATES),
+            "determinism" => !listed(&DETERMINISM_EXEMPT),
+            "obs-hygiene" => !listed(&OBS_EXEMPT),
+            "panic-hygiene" => !listed(&PANIC_EXEMPT),
+            "span-hygiene" => !listed(&SPAN_EXEMPT),
+            "panic-reach" | "float-determinism" | "atomic-ordering" | "alloc-hygiene" => true,
+            _ => false,
+        }
+}
+
 /// Every applicable rule's findings for one file, before inline allows
 /// are applied.
 #[must_use]
 fn raw_findings(ctx: &FileContext) -> Vec<Finding> {
     let mut findings = Vec::new();
-    if ctx.kind != FileKind::Lib {
-        return findings;
-    }
-    if UNIT_SAFE_CRATES.contains(&ctx.crate_name.as_str()) {
+    let runs = |rule| runs_on(rule, &ctx.crate_name, ctx.kind);
+    if runs("unit-safety") {
         unit_safety(ctx, &mut findings);
     }
-    if !DETERMINISM_EXEMPT.contains(&ctx.crate_name.as_str()) {
+    if runs("determinism") {
         determinism(ctx, &mut findings);
     }
-    if !OBS_EXEMPT.contains(&ctx.crate_name.as_str()) {
+    if runs("obs-hygiene") {
         obs_hygiene(ctx, &mut findings);
     }
-    if !PANIC_EXEMPT.contains(&ctx.crate_name.as_str()) {
+    if runs("panic-hygiene") {
         panic_hygiene(ctx, &mut findings);
     }
-    if !SPAN_EXEMPT.contains(&ctx.crate_name.as_str()) {
+    if runs("span-hygiene") {
         span_hygiene(ctx, &mut findings);
     }
     findings
@@ -127,12 +149,43 @@ fn raw_findings(ctx: &FileContext) -> Vec<Finding> {
 pub fn check_file_counted(ctx: &FileContext) -> (Vec<Finding>, usize) {
     let all = raw_findings(ctx);
     let before = all.len();
-    let survivors: Vec<Finding> = all
+    let mut survivors: Vec<Finding> = all
         .into_iter()
         .filter(|f| !ctx.is_allowed(f.line, f.rule))
         .collect();
     let suppressed = before - survivors.len();
+    allow_hygiene(ctx, &mut survivors);
     (survivors, suppressed)
+}
+
+/// allow-hygiene: an inline allow must name a rule that runs on its
+/// file. One that names an unknown rule, or a rule out of scope for the
+/// file's crate or kind, suppresses nothing and only claims it does.
+/// A `panic-hygiene` allow also justifies its site to panic-reach, so it
+/// is live wherever panic-reach runs.
+fn allow_hygiene(ctx: &FileContext, findings: &mut Vec<Finding>) {
+    let runs = |rule: &str| runs_on(rule, &ctx.crate_name, ctx.kind);
+    for (&line, allowed) in &ctx.allows {
+        for rule in allowed {
+            if runs(rule) || (rule == "panic-hygiene" && runs("panic-reach")) {
+                continue;
+            }
+            let why = if rule_named(rule).is_some() {
+                format!("`{rule}` never runs on this file")
+            } else {
+                format!("`{rule}` is not a ramp-lint rule")
+            };
+            findings.push(Finding {
+                rule: "allow-hygiene",
+                severity: Severity::Warning,
+                file: ctx.rel_path.clone(),
+                line,
+                col: 1,
+                symbol: format!("allow({rule})"),
+                message: format!("inline allow suppresses nothing: {why}; delete it"),
+            });
+        }
+    }
 }
 
 /// Runs every applicable rule over one file, applying inline allows.

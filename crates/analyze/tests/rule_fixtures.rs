@@ -280,6 +280,42 @@ fn span_hygiene_allow_with_bound_proof_passes() {
     assert!(lint("trace", FileKind::Lib, src).is_empty());
 }
 
+// ------------------------------------------------------------- allow-hygiene
+
+#[test]
+fn allow_naming_an_unknown_rule_fails() {
+    let src = "fn f() {} // ramp-lint:allow(unit-safty) -- typo\n";
+    let findings = lint("core", FileKind::Lib, src);
+    assert_eq!(rules(&findings), ["allow-hygiene"]);
+    assert_eq!(findings[0].line, 1);
+    assert_eq!(findings[0].symbol, "allow(unit-safty)");
+    assert!(findings[0].message.contains("not a ramp-lint rule"));
+}
+
+#[test]
+fn allow_for_a_rule_out_of_the_crates_scope_fails() {
+    // unit-safety runs on power/thermal/core only.
+    let src = "// ramp-lint:allow(unit-safety) -- dimensionless\npub fn f() -> f64 { 0.0 }\n";
+    let findings = lint("fleet", FileKind::Lib, src);
+    assert_eq!(rules(&findings), ["allow-hygiene"]);
+    assert!(findings[0].message.contains("never runs on this file"));
+    assert!(lint("thermal", FileKind::Lib, src).is_empty());
+}
+
+#[test]
+fn any_allow_in_a_binary_fails() {
+    let src = "fn main() { x.unwrap(); } // ramp-lint:allow(panic-hygiene) -- CLI\n";
+    assert_eq!(rules(&lint("bench", FileKind::Bin, src)), ["allow-hygiene"]);
+}
+
+#[test]
+fn panic_hygiene_allow_stays_live_where_only_panic_reach_reads_it() {
+    // bench is exempt from panic-hygiene, but panic-reach still reads the
+    // justification of every library panic site.
+    let src = "fn f() { x.unwrap(); } // ramp-lint:allow(panic-hygiene) -- total\n";
+    assert!(lint("bench", FileKind::Lib, src).is_empty());
+}
+
 // ----------------------------------------------------------------- compounds
 
 #[test]

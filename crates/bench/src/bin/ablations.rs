@@ -11,7 +11,7 @@
 //! cargo run -p ramp-bench --bin ablations --release
 //! ```
 
-use ramp_core::mechanisms::{standard_models, MechanismKind};
+use ramp_core::mechanisms::{MechanismKind, MechanismSet};
 use ramp_core::{
     run_app_on_node, NodeId, OperatingPoint, PipelineConfig, Qualification, RateAccumulator,
     TechNode,
@@ -35,7 +35,7 @@ fn main() {
 /// lifetimes); MIN ignores every contributor but the worst.
 fn sofr_vs_min_mttf() {
     println!("=== ablation 1: SOFR vs MIN-of-MTTF combination ===");
-    let models = standard_models();
+    let models = MechanismSet::default();
     let cfg = PipelineConfig::quick();
     let run = run_app_on_node(
         &ramp_trace::spec::profile("gzip").expect("known benchmark"),
@@ -71,7 +71,7 @@ fn sofr_vs_min_mttf() {
 /// (Jensen's inequality). Quantify on a hot/cold square wave.
 fn averaging_vs_mean_conditions() {
     println!("=== ablation 2: rate averaging vs average conditions ===");
-    let models = standard_models();
+    let models = MechanismSet::default();
     let node = TechNode::reference();
     let op = |t: f64| {
         PerStructure::from_fn(|_| {

@@ -69,9 +69,9 @@ fn fit_dep(profile: &BenchmarkProfile) -> (f64, f64) {
 /// pipeline and solves for the multiplier that lands the benchmark on its
 /// Table-3 average power (leakage is temperature-coupled, so iterate).
 fn fit_power_residual(profile: &ramp_trace::BenchmarkProfile) -> (f64, f64) {
-    use ramp_core::mechanisms::standard_models;
+    use ramp_core::mechanisms::MechanismSet;
     use ramp_core::{run_app_on_node, PipelineConfig, TechNode};
-    let models = standard_models();
+    let models = MechanismSet::default();
     let cfg = PipelineConfig::default();
     let old = spec::power_residual(&profile.name).unwrap_or(1.0);
     let mut residual = old;

@@ -6,7 +6,7 @@
 //! and per technology-node step of the feature-size terms — at a
 //! representative operating point.
 
-use ramp_core::mechanisms::{standard_models, MechanismKind};
+use ramp_core::mechanisms::{MechanismKind, MechanismSet};
 use ramp_core::{NodeId, OperatingPoint, TechNode};
 use ramp_units::{ActivityFactor, Kelvin, Volts};
 
@@ -20,9 +20,9 @@ fn op(t: f64, v: f64) -> OperatingPoint {
 
 fn main() {
     ramp_bench::init_obs();
-    let models = standard_models();
-    let n180 = TechNode::reference();
-    let n65 = TechNode::get(NodeId::N65HighV);
+    let models = MechanismSet::default();
+    let n180 = models.prepare(&TechNode::reference());
+    let n65 = models.prepare(&TechNode::get(NodeId::N65HighV));
     let t0 = 356.0;
     let v0 = 1.3;
 
@@ -33,15 +33,15 @@ fn main() {
         "{:<6} {:>14} {:>14} {:>18}",
         "mech", "x per +10K", "x per +0.1V", "x feature terms*"
     );
-    for model in &models {
-        let base = model.relative_rate(&op(t0, v0), &n180);
-        let hot = model.relative_rate(&op(t0 + 10.0, v0), &n180);
-        let volt = model.relative_rate(&op(t0, v0 + 0.1), &n180);
+    for kind in MechanismKind::ALL {
+        let base = n180.rate(kind, &op(t0, v0));
+        let hot = n180.rate(kind, &op(t0 + 10.0, v0));
+        let volt = n180.rate(kind, &op(t0, v0 + 0.1));
         // Feature-size terms isolated: same op point, 65 nm node.
-        let scaled = model.relative_rate(&op(t0, v0), &n65);
+        let scaled = n65.rate(kind, &op(t0, v0));
         println!(
             "{:<6} {:>14.3} {:>14.3} {:>18.3}",
-            model.kind().label(),
+            kind.label(),
             hot / base,
             volt / base,
             scaled / base,
@@ -54,13 +54,10 @@ fn main() {
     println!(" show 1.0 there, exactly as the paper's empty cells indicate.");
     println!();
     println!("Temperature column ordering check (paper: TDDB strongest, then EM/SM, TC gentlest):");
-    let mut temp_sens: Vec<(MechanismKind, f64)> = models
-        .iter()
-        .map(|m| {
-            let base = m.relative_rate(&op(t0, v0), &n180);
-            (m.kind(), m.relative_rate(&op(t0 + 10.0, v0), &n180) / base)
-        })
-        .collect();
+    let mut temp_sens = MechanismKind::ALL.map(|kind| {
+        let base = n180.rate(kind, &op(t0, v0));
+        (kind, n180.rate(kind, &op(t0 + 10.0, v0)) / base)
+    });
     temp_sens.sort_by(|a, b| b.1.total_cmp(&a.1));
     for (kind, s) in temp_sens {
         println!("  {kind}: x{s:.3} per +10K");

@@ -17,7 +17,6 @@
 //! outcome and the performance cost. Its unmanaged baseline is the
 //! engine's anchored run ([`QueryEngine::run_anchored`]).
 
-use crate::mechanisms::FailureModel;
 use crate::pipeline::{power_model, LevelPolicy};
 use crate::rates::RateAccumulator;
 use crate::{OperatingPoint, Qualification, QueryEngine, RampError, TechNode};
@@ -237,11 +236,13 @@ impl DrmOutcome {
 /// hands the pipeline the current level's power model and supply, and
 /// feeds each interval's instantaneous FIT into the controller's running
 /// average.
-struct ManagedLevels<'e> {
+struct ManagedLevels {
     controller: DrmController,
     /// One power model per ladder level, in ladder order.
     powers: Vec<PowerModel>,
-    models: &'e [Box<dyn FailureModel>],
+    /// An accumulator with nothing observed, prepared for the node once
+    /// per run; each interval prices its rates on a copy.
+    empty: RateAccumulator,
     node: TechNode,
     qualification: Qualification,
     fit_sum: f64,
@@ -250,14 +251,14 @@ struct ManagedLevels<'e> {
     performance_sum: f64,
 }
 
-impl LevelPolicy for ManagedLevels<'_> {
+impl LevelPolicy for ManagedLevels {
     fn level(&self) -> (&PowerModel, Volts) {
         let power = &self.powers[self.controller.level_index()]; // ramp-lint:allow(panic-reach) -- `powers` has one entry per ladder level and `level_index()` is bounded by the ladder length
         (power, self.controller.level().voltage)
     }
 
     fn observe(&mut self, ops: &PerStructure<OperatingPoint>) {
-        let mut instantaneous = RateAccumulator::new(self.models, self.node);
+        let mut instantaneous = self.empty.clone();
         instantaneous.observe(ops, 1.0);
         let report = self.qualification.fit_report(&instantaneous.finish());
         self.fit_sum += report.total().value();
@@ -331,7 +332,7 @@ pub fn run_with_drm(
             residency: vec![0; powers.len()],
             controller,
             powers,
-            models: &engine.models,
+            empty: RateAccumulator::new(&engine.models, *node),
             node: *node,
             qualification,
             fit_sum: 0.0,

@@ -134,12 +134,12 @@ impl StudyResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanisms::standard_models;
+    use crate::mechanisms::MechanismSet;
     use crate::{run_app_on_node, AppNodeResult, PipelineConfig, Qualification, TechNode};
     use ramp_trace::spec;
 
     fn tiny_results() -> StudyResults {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let run = run_app_on_node(
             &spec::profile("gzip").unwrap(),
             &TechNode::reference(),

@@ -22,10 +22,10 @@
 //!
 //! ```
 //! use ramp_core::{run_app_on_node, NodeId, PipelineConfig, TechNode};
-//! use ramp_core::mechanisms::standard_models;
+//! use ramp_core::mechanisms::MechanismSet;
 //! use ramp_trace::spec;
 //!
-//! let models = standard_models();
+//! let models = MechanismSet::default();
 //! let run = run_app_on_node(
 //!     &spec::profile("gzip")?,
 //!     &TechNode::get(NodeId::N180),

@@ -124,11 +124,11 @@ pub struct SampledFailure {
 ///
 /// ```
 /// # use ramp_core::lifetime::MonteCarloLifetime;
-/// # use ramp_core::mechanisms::{standard_models, PerMechanism};
+/// # use ramp_core::mechanisms::{MechanismSet, PerMechanism};
 /// # use ramp_core::{OperatingPoint, Qualification, RateAccumulator, TechNode};
 /// # use ramp_microarch::PerStructure;
 /// # use ramp_units::{ActivityFactor, Kelvin, Volts};
-/// # let models = standard_models();
+/// # let models = MechanismSet::default();
 /// # let mut acc = RateAccumulator::new(&models, TechNode::reference());
 /// # let ops = PerStructure::from_fn(|_| OperatingPoint::new(
 /// #     Kelvin::new(356.0).unwrap(), Volts::new(1.3).unwrap(),
@@ -220,13 +220,13 @@ impl MonteCarloLifetime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanisms::{standard_models, PerMechanism};
+    use crate::mechanisms::{MechanismSet, PerMechanism};
     use crate::{OperatingPoint, Qualification, RateAccumulator, TechNode};
     use ramp_microarch::PerStructure;
     use ramp_units::{ActivityFactor, Kelvin, Volts};
 
     fn report() -> FitReport {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let mut acc = RateAccumulator::new(&models, TechNode::reference());
         let ops = PerStructure::from_fn(|s| {
             OperatingPoint::new(

@@ -14,8 +14,8 @@
 //! thickness δ does not). The failure-rate multiplier is therefore
 //! `1/κ²`.
 
-use super::{FailureModel, MechanismKernel, MechanismKind};
-use crate::{OperatingPoint, TechNode};
+use super::MechanismKernel;
+use crate::TechNode;
 use ramp_units::{ActivityFactor, CurrentDensity, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 use serde::{Deserialize, Serialize};
 
@@ -24,14 +24,14 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use ramp_core::mechanisms::{Electromigration, FailureModel};
+/// use ramp_core::mechanisms::{Electromigration, MechanismKernel};
 /// use ramp_core::{NodeId, OperatingPoint, TechNode};
 /// use ramp_units::{ActivityFactor, Kelvin, Volts};
 ///
 /// let em = Electromigration::default();
 /// let op = OperatingPoint::new(Kelvin::new(356.0)?, Volts::new(1.3)?,
 ///                              ActivityFactor::new(0.5)?);
-/// let rate = em.relative_rate(&op, &TechNode::get(NodeId::N180));
+/// let rate = em.prepare(&TechNode::get(NodeId::N180)).rate(&op);
 /// assert!(rate > 0.0);
 /// # Ok::<(), ramp_units::UnitError>(())
 /// ```
@@ -107,16 +107,6 @@ impl MechanismKernel for EmKernel {
     }
 }
 
-impl FailureModel for Electromigration {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Em
-    }
-
-    fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
-        self.prepare(node).rate(op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +117,7 @@ mod tests {
     fn rate(em: &Electromigration, temp: f64, act: f64, id: NodeId) -> f64 {
         let mut op = typical_op(temp);
         op.activity = ActivityFactor::new(act).unwrap();
-        em.relative_rate(&op, &TechNode::get(id))
+        em.prepare(&TechNode::get(id)).rate(&op)
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The four intrinsic hard-failure mechanisms modelled by RAMP.
 //!
-//! Each mechanism implements [`FailureModel`]: given a structure's
-//! instantaneous [`OperatingPoint`] and the [`TechNode`] being simulated,
-//! it returns a *relative* failure rate — the full analytic rate expression
+//! Each mechanism is a concrete parameter set whose `prepare(&TechNode)`
+//! builds a [`MechanismKernel`]: the node's invariant factors evaluated
+//! once. Given a structure's instantaneous [`OperatingPoint`], the kernel
+//! returns a *relative* failure rate — the full analytic rate expression
 //! with the unknown material/yield proportionality constant factored out.
 //! [`crate::Qualification`] later fixes those constants so that each
 //! mechanism contributes 1000 FIT on average across the workload at
@@ -18,11 +19,9 @@
 //! | TDDB | super-exponential | `V^{a−bT}` (rate) | `10^{Δt_ox/s}`, gate area |
 //! | TC   | `(T−T_ambient)^q` (rate) | — | — |
 //!
-//! Each concrete mechanism also has a `prepare(&TechNode)` form, a
-//! [`MechanismKernel`] that holds the node's invariant factors. Its
-//! `relative_rate` is that kernel's [`MechanismKernel::rate`], so each
-//! rate formula exists once and a hot loop that prepares once per node
-//! reproduces the trait's results bit for bit.
+//! [`MechanismSet`] names the four models, one concrete field each, and
+//! [`MechanismSet::prepare`] builds all four kernels of a node at once.
+//! Each rate formula exists once, in its kernel.
 
 mod em;
 mod sm;
@@ -92,23 +91,11 @@ impl std::fmt::Display for MechanismKind {
     }
 }
 
-/// A failure-rate model with its proportionality constant factored out.
-///
-/// Implementations must be pure functions of the operating point and node:
-/// the reliability engine calls them once per structure per microsecond
-/// interval.
-pub trait FailureModel: std::fmt::Debug + Send + Sync {
-    /// Which mechanism this model describes.
-    fn kind(&self) -> MechanismKind;
-
-    /// Relative instantaneous failure rate (reciprocal of relative MTTF)
-    /// at the given operating point on the given node. Dimensionless up to
-    /// the calibration constant; must be finite and non-negative.
-    fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64;
-}
-
 /// One mechanism's rate expression with a node's invariant factors
 /// already evaluated (built by the mechanism's `prepare`).
+///
+/// Kernels are pure functions of the operating point: the reliability
+/// engine evaluates them once per structure per microsecond interval.
 ///
 /// The per-operating-point inputs split once more. Temperature moves on
 /// every evaluation; the supply and activity terms can be evaluated once
@@ -125,8 +112,9 @@ pub trait MechanismKernel: Copy {
     /// Relative rate at `temperature`, given the hoisted terms.
     fn rate_at(&self, hoisted: Self::Hoisted, temperature: Kelvin) -> f64;
 
-    /// Relative rate at one operating point: the value of
-    /// [`FailureModel::relative_rate`] on the prepared node.
+    /// Relative instantaneous failure rate (reciprocal of relative MTTF)
+    /// at one operating point on the prepared node. Dimensionless up to
+    /// the calibration constant; finite and non-negative.
     fn rate(&self, op: &OperatingPoint) -> f64 {
         self.rate_at(self.hoist(op.voltage, op.activity), op.temperature)
     }
@@ -172,17 +160,25 @@ pub struct PreparedSet {
     pub tc: ThermalCycling,
 }
 
-/// The standard model set: all four mechanisms with their default
-/// (paper/calibrated) parameters, in canonical order.
+impl PreparedSet {
+    /// Relative rate of mechanism `kind` at one operating point (see
+    /// [`MechanismKernel::rate`]).
+    #[must_use]
+    // ramp-lint:allow(unit-safety) -- relative failure rate, dimensionless
+    pub fn rate(&self, kind: MechanismKind, op: &OperatingPoint) -> f64 {
+        match kind {
+            MechanismKind::Em => self.em.rate(op),
+            MechanismKind::Sm => self.sm.rate(op),
+            MechanismKind::Tddb => self.tddb.rate(op),
+            MechanismKind::Tc => self.tc.rate(op),
+        }
+    }
+}
+
+/// The standard model set, [`MechanismSet::default`].
 #[must_use]
-pub fn standard_models() -> Vec<Box<dyn FailureModel>> {
-    let set = MechanismSet::default();
-    vec![
-        Box::new(set.em),
-        Box::new(set.sm),
-        Box::new(set.tddb),
-        Box::new(set.tc),
-    ]
+pub fn standard_models() -> MechanismSet {
+    MechanismSet::default()
 }
 
 /// A dense per-mechanism map, indexed by [`MechanismKind`].
@@ -257,25 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn standard_models_cover_all_kinds() {
-        let models = standard_models();
-        let mut kinds: Vec<_> = models.iter().map(|m| m.kind()).collect();
-        kinds.sort();
-        kinds.dedup();
-        assert_eq!(kinds.len(), 4);
-    }
-
-    #[test]
     fn all_rates_finite_positive_and_temperature_monotone() {
-        let node = TechNode::reference();
-        for model in standard_models() {
-            let cool = model.relative_rate(&typical_op(340.0), &node);
-            let hot = model.relative_rate(&typical_op(380.0), &node);
-            assert!(cool.is_finite() && cool > 0.0, "{}", model.kind());
+        let prepared = MechanismSet::default().prepare(&TechNode::reference());
+        for kind in MechanismKind::ALL {
+            let cool = prepared.rate(kind, &typical_op(340.0));
+            let hot = prepared.rate(kind, &typical_op(380.0));
+            assert!(cool.is_finite() && cool > 0.0, "{kind}");
             assert!(
                 hot > cool,
-                "{} must degrade with temperature: {cool} vs {hot}",
-                model.kind()
+                "{kind} must degrade with temperature: {cool} vs {hot}"
             );
         }
     }
@@ -286,17 +272,17 @@ mod tests {
         // at the realistic 65 nm point (1.0 V) with its observed ~+10 K.
         let n180 = TechNode::reference();
         let n65 = TechNode::get(NodeId::N65HighV);
-        for model in standard_models() {
+        let set = MechanismSet::default();
+        for kind in MechanismKind::ALL {
             let mut op180 = typical_op(356.0);
             let mut op65 = typical_op(366.0);
             op180.voltage = n180.vdd;
             op65.voltage = n65.vdd;
-            let r180 = model.relative_rate(&op180, &n180);
-            let r65 = model.relative_rate(&op65, &n65);
+            let r180 = set.prepare(&n180).rate(kind, &op180);
+            let r65 = set.prepare(&n65).rate(kind, &op65);
             assert!(
                 r65 > r180,
-                "{}: 65 nm rate {r65} not above 180 nm rate {r180}",
-                model.kind()
+                "{kind}: 65 nm rate {r65} not above 180 nm rate {r180}"
             );
         }
     }

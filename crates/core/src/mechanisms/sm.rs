@@ -8,8 +8,8 @@
 //! temperatures, so hotter structures fail sooner — just less steeply than
 //! under electromigration. Scaling touches SM only through temperature.
 
-use super::{FailureModel, MechanismKernel, MechanismKind};
-use crate::{OperatingPoint, TechNode};
+use super::MechanismKernel;
+use crate::TechNode;
 use ramp_units::{ActivityFactor, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 use serde::{Deserialize, Serialize};
 
@@ -18,14 +18,14 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use ramp_core::mechanisms::{FailureModel, StressMigration};
+/// use ramp_core::mechanisms::{MechanismKernel, StressMigration};
 /// use ramp_core::{OperatingPoint, TechNode};
 /// use ramp_units::{ActivityFactor, Kelvin, Volts};
 ///
 /// let sm = StressMigration::default();
 /// let op = OperatingPoint::new(Kelvin::new(360.0)?, Volts::new(1.3)?,
 ///                              ActivityFactor::new(0.5)?);
-/// assert!(sm.relative_rate(&op, &TechNode::reference()) > 0.0);
+/// assert!(sm.prepare(&TechNode::reference()).rate(&op) > 0.0);
 /// # Ok::<(), ramp_units::UnitError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -70,16 +70,6 @@ impl MechanismKernel for StressMigration {
     }
 }
 
-impl FailureModel for StressMigration {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Sm
-    }
-
-    fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
-        self.prepare(node).rate(op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,7 +77,7 @@ mod tests {
     use crate::NodeId;
 
     fn rate(t: f64) -> f64 {
-        StressMigration::default().relative_rate(&typical_op(t), &TechNode::reference())
+        StressMigration::default().rate(&typical_op(t))
     }
 
     #[test]
@@ -114,9 +104,9 @@ mod tests {
         // The paper observes SM's 65 nm jump is smaller than EM's because
         // of the |T0−T|^{-m} MTTF term. Compare pure temperature response.
         let sm_ratio = rate(371.0) / rate(356.0);
-        let em = super::super::Electromigration::default();
-        let em_hot = em.relative_rate(&typical_op(371.0), &TechNode::get(NodeId::N180));
-        let em_cool = em.relative_rate(&typical_op(356.0), &TechNode::get(NodeId::N180));
+        let em = super::super::Electromigration::default().prepare(&TechNode::get(NodeId::N180));
+        let em_hot = em.rate(&typical_op(371.0));
+        let em_cool = em.rate(&typical_op(356.0));
         assert!(sm_ratio < em_hot / em_cool);
         assert!(sm_ratio > 1.0);
     }
@@ -125,8 +115,8 @@ mod tests {
     fn independent_of_node_parameters() {
         let sm = StressMigration::default();
         let op = typical_op(360.0);
-        let r1 = sm.relative_rate(&op, &TechNode::get(NodeId::N180));
-        let r2 = sm.relative_rate(&op, &TechNode::get(NodeId::N65LowV));
+        let r1 = sm.prepare(&TechNode::get(NodeId::N180)).rate(&op);
+        let r2 = sm.prepare(&TechNode::get(NodeId::N65LowV)).rate(&op);
         assert_eq!(r1, r2);
     }
 }

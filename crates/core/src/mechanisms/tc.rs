@@ -9,8 +9,8 @@
 //! with a power-law rather than exponential dependence its growth is the
 //! gentlest of the four mechanisms.
 
-use super::{FailureModel, MechanismKernel, MechanismKind};
-use crate::{OperatingPoint, TechNode};
+use super::MechanismKernel;
+use crate::TechNode;
 use ramp_units::{ActivityFactor, Kelvin, Volts};
 use serde::{Deserialize, Serialize};
 
@@ -19,14 +19,14 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use ramp_core::mechanisms::{FailureModel, ThermalCycling};
+/// use ramp_core::mechanisms::{MechanismKernel, ThermalCycling};
 /// use ramp_core::{OperatingPoint, TechNode};
 /// use ramp_units::{ActivityFactor, Kelvin, Volts};
 ///
 /// let tc = ThermalCycling::default();
 /// let op = OperatingPoint::new(Kelvin::new(356.0)?, Volts::new(1.3)?,
 ///                              ActivityFactor::new(0.5)?);
-/// assert!(tc.relative_rate(&op, &TechNode::reference()) > 0.0);
+/// assert!(tc.prepare(&TechNode::reference()).rate(&op) > 0.0);
 /// # Ok::<(), ramp_units::UnitError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,16 +68,6 @@ impl MechanismKernel for ThermalCycling {
     }
 }
 
-impl FailureModel for ThermalCycling {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Tc
-    }
-
-    fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
-        self.prepare(node).rate(op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +75,7 @@ mod tests {
     use crate::NodeId;
 
     fn rate(t: f64) -> f64 {
-        ThermalCycling::default().relative_rate(&typical_op(t), &TechNode::reference())
+        ThermalCycling::default().rate(&typical_op(t))
     }
 
     #[test]
@@ -113,8 +103,8 @@ mod tests {
         let tc = ThermalCycling::default();
         let op = typical_op(356.0);
         assert_eq!(
-            tc.relative_rate(&op, &TechNode::get(NodeId::N180)),
-            tc.relative_rate(&op, &TechNode::get(NodeId::N65HighV)),
+            tc.prepare(&TechNode::get(NodeId::N180)).rate(&op),
+            tc.prepare(&TechNode::get(NodeId::N65HighV)).rate(&op),
         );
     }
 }

@@ -20,8 +20,8 @@
 //!   direction (smaller scaled area ⇒ longer life); the paper's Eq. 5
 //!   prints the ratio inverted (DESIGN.md §5).
 
-use super::{FailureModel, MechanismKernel, MechanismKind};
-use crate::{OperatingPoint, TechNode};
+use super::MechanismKernel;
+use crate::TechNode;
 use ramp_units::{ActivityFactor, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 use serde::{Deserialize, Serialize};
 
@@ -30,14 +30,14 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use ramp_core::mechanisms::{DielectricBreakdown, FailureModel};
+/// use ramp_core::mechanisms::{DielectricBreakdown, MechanismKernel};
 /// use ramp_core::{NodeId, OperatingPoint, TechNode};
 /// use ramp_units::{ActivityFactor, Kelvin, Volts};
 ///
 /// let tddb = DielectricBreakdown::default();
 /// let op = OperatingPoint::new(Kelvin::new(356.0)?, Volts::new(1.3)?,
 ///                              ActivityFactor::new(0.5)?);
-/// assert!(tddb.relative_rate(&op, &TechNode::get(NodeId::N180)) > 0.0);
+/// assert!(tddb.prepare(&TechNode::get(NodeId::N180)).rate(&op) > 0.0);
 /// # Ok::<(), ramp_units::UnitError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -147,16 +147,6 @@ impl MechanismKernel for TddbKernel {
     }
 }
 
-impl FailureModel for DielectricBreakdown {
-    fn kind(&self) -> MechanismKind {
-        MechanismKind::Tddb
-    }
-
-    fn relative_rate(&self, op: &OperatingPoint, node: &TechNode) -> f64 {
-        self.prepare(node).rate(op)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +157,9 @@ mod tests {
     fn rate(t: f64, v: f64, id: NodeId) -> f64 {
         let mut op = typical_op(t);
         op.voltage = Volts::new(v).unwrap();
-        DielectricBreakdown::default().relative_rate(&op, &TechNode::get(id))
+        DielectricBreakdown::default()
+            .prepare(&TechNode::get(id))
+            .rate(&op)
     }
 
     #[test]
@@ -223,8 +215,8 @@ mod tests {
             op.voltage = Volts::new(1.3).unwrap();
             op
         };
-        let node = TechNode::get(NodeId::N180);
-        let swing = m.relative_rate(&op_high, &node) / m.relative_rate(&op_low, &node);
+        let kernel = m.prepare(&TechNode::get(NodeId::N180));
+        let swing = kernel.rate(&op_high) / kernel.rate(&op_low);
         assert!(swing > 1e10, "published-set voltage swing only {swing}");
     }
 
@@ -233,9 +225,9 @@ mod tests {
         let m = DielectricBreakdown::default();
         let mut n65 = TechNode::get(NodeId::N65HighV);
         let op = typical_op(356.0);
-        let r_small = m.relative_rate(&op, &n65);
+        let r_small = m.prepare(&n65).rate(&op);
         n65.area_rel = 1.0; // counterfactual: no area shrink
-        let r_big = m.relative_rate(&op, &n65);
+        let r_big = m.prepare(&n65).rate(&op);
         assert!(
             r_big > r_small,
             "more gate-oxide area must mean more weakest links"

@@ -20,7 +20,7 @@
 //!    controller. The first pass always runs at the nominal level.
 
 use crate::drm::DvsLevel;
-use crate::mechanisms::FailureModel;
+use crate::mechanisms::MechanismSet;
 use crate::rates::{AveragedRates, RateAccumulator};
 use crate::{OperatingPoint, RampError, TechNode};
 use ramp_microarch::{
@@ -318,10 +318,10 @@ fn first_pass(
 ///
 /// ```
 /// use ramp_core::{run_app_on_node, NodeId, PipelineConfig, TechNode};
-/// use ramp_core::mechanisms::standard_models;
+/// use ramp_core::mechanisms::MechanismSet;
 /// use ramp_trace::spec;
 ///
-/// let models = standard_models();
+/// let models = MechanismSet::default();
 /// let run = run_app_on_node(
 ///     &spec::profile("gzip")?,
 ///     &TechNode::get(NodeId::N180),
@@ -337,7 +337,7 @@ pub fn run_app_on_node(
     profile: &BenchmarkProfile,
     node: &TechNode,
     cfg: &PipelineConfig,
-    models: &[Box<dyn FailureModel>],
+    models: &MechanismSet,
     reference_power: Option<Watts>,
 ) -> Result<AppNodeRun, RampError> {
     let nominal = |power| Ok((power, node.vdd));
@@ -355,7 +355,7 @@ pub(crate) fn run_app_filling_intervals<P: LevelPolicy>(
     profile: &BenchmarkProfile,
     node: &TechNode,
     cfg: &PipelineConfig,
-    models: &[Box<dyn FailureModel>],
+    models: &MechanismSet,
     reference_power: Option<Watts>,
     extra_intervals: &[u64],
     levels: impl FnOnce(PowerModel) -> Result<P, RampError>,
@@ -512,13 +512,13 @@ pub(crate) fn run_app_filling_intervals<P: LevelPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanisms::standard_models;
+    use crate::mechanisms::MechanismSet;
     use crate::NodeId;
     use ramp_microarch::Structure;
     use ramp_trace::spec;
 
     fn quick_run(app: &str, node: NodeId, reference: Option<Watts>) -> AppNodeRun {
-        let models = standard_models();
+        let models = MechanismSet::default();
         run_app_on_node(
             &spec::profile(app).unwrap(),
             &TechNode::get(node),
@@ -572,7 +572,7 @@ mod tests {
 
     #[test]
     fn thermal_trace_recording_is_opt_in() {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let profile = spec::profile("mesa").unwrap();
         let off = run_app_on_node(
             &profile,
@@ -601,7 +601,7 @@ mod tests {
 
     #[test]
     fn thermal_trace_stride_downsamples() {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let profile = spec::profile("mesa").unwrap();
         let full_cfg = PipelineConfig {
             record_thermal_trace: true,
@@ -652,7 +652,7 @@ mod tests {
     fn zero_instruction_config_rejected() {
         let mut cfg = PipelineConfig::quick();
         cfg.instructions = 0;
-        let models = standard_models();
+        let models = MechanismSet::default();
         let err = run_app_on_node(
             &spec::profile("gcc").unwrap(),
             &TechNode::reference(),

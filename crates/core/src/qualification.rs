@@ -22,8 +22,7 @@ pub const FIT_PER_MECHANISM: f64 = 1000.0;
 /// # Examples
 ///
 /// ```no_run
-/// use ramp_core::{Qualification, TechNode};
-/// use ramp_core::mechanisms::standard_models;
+/// use ramp_core::Qualification;
 /// # let reference_runs: Vec<ramp_core::AveragedRates> = vec![];
 /// let qual = Qualification::from_reference_runs(&reference_runs).unwrap();
 /// ```
@@ -191,13 +190,13 @@ impl FitReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanisms::standard_models;
+    use crate::mechanisms::MechanismSet;
     use crate::rates::RateAccumulator;
     use crate::{OperatingPoint, TechNode};
     use ramp_units::{ActivityFactor, Kelvin, Volts};
 
     fn reference_run(temp: f64, activity: f64) -> AveragedRates {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let mut acc = RateAccumulator::new(&models, TechNode::reference());
         let ops = PerStructure::from_fn(|_| {
             OperatingPoint::new(

@@ -15,14 +15,14 @@
 //!   qualification margin;
 //! * [`QueryEngine`] — the one owner of calibration and of the anchored
 //!   pipeline run; a calibrated, cheap-to-clone evaluator. It holds
-//!   only immutable shared state (`Arc`ed models, `Copy` qualification),
-//!   so clones are a few pointer copies, [`QueryEngine::evaluate`] takes
+//!   only immutable state (the `Copy` model set and qualification, the
+//!   base pipeline and a digest string), so [`QueryEngine::evaluate`] takes
 //!   `&self` and may run concurrently from any number of threads, and
 //!   abandoning a caller mid-evaluation cannot corrupt anything
 //!   (cancellation safety: there is no partial mutable state to unwind).
 
 use crate::manifest::{config_digest, fnv1a_hex};
-use crate::mechanisms::{standard_models, FailureModel, MechanismKind, PerMechanism};
+use crate::mechanisms::{MechanismKind, MechanismSet, PerMechanism};
 use crate::pipeline::{
     interval_cycles, run_app_filling_intervals, AppNodeRun, LevelPolicy, PipelineConfig,
 };
@@ -35,7 +35,6 @@ use ramp_trace::{spec, BenchmarkProfile};
 use ramp_units::{Fit, Kelvin, Mttf, Watts, Years};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// One reliability question: *what does this workload cost in lifetime at
 /// this node, under this pipeline configuration?*
@@ -144,7 +143,7 @@ pub struct PopulationAnchor {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
-    pub(crate) models: Arc<Vec<Box<dyn FailureModel>>>,
+    pub(crate) models: MechanismSet,
     qualification: Qualification,
     base: PipelineConfig,
     calibration_digest: String,
@@ -236,7 +235,7 @@ impl QueryEngine {
 
     fn new(qualification: Qualification, base: PipelineConfig, calibration_digest: String) -> Self {
         QueryEngine {
-            models: Arc::new(standard_models()),
+            models: MechanismSet::default(),
             qualification,
             base,
             calibration_digest,

@@ -8,10 +8,10 @@
 //! accumulator tracks average temperature and evaluates TC once at the
 //! end.
 
-use crate::mechanisms::{FailureModel, MechanismKind, PerMechanism};
+use crate::mechanisms::{MechanismKernel, MechanismKind, MechanismSet, PerMechanism, PreparedSet};
 use crate::{OperatingPoint, TechNode};
 use ramp_microarch::{PerStructure, Structure};
-use ramp_units::Kelvin;
+use ramp_units::{ActivityFactor, Kelvin, Volts};
 
 /// Time-averaged relative failure rates, per mechanism and structure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,37 +63,24 @@ impl AveragedRates {
     }
 }
 
-/// Accumulates instantaneous rates across a run.
-pub struct RateAccumulator<'m> {
-    models: &'m [Box<dyn FailureModel>],
-    node: TechNode,
+/// Accumulates instantaneous rates across a run on one node.
+#[derive(Debug, Clone)]
+pub struct RateAccumulator {
+    prepared: PreparedSet,
+    vdd: Volts,
     rate_sums: PerMechanism<PerStructure<f64>>,
     temp_sums: PerStructure<f64>,
     temp_peaks: PerStructure<f64>,
     weight: f64,
 }
 
-impl std::fmt::Debug for RateAccumulator<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RateAccumulator")
-            .field("node", &self.node.id)
-            .field("weight", &self.weight)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'m> RateAccumulator<'m> {
-    /// Creates an accumulator for `node` using the given model set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `models` is empty.
+impl RateAccumulator {
+    /// Creates an accumulator for `node`, preparing `models` for it once.
     #[must_use]
-    pub fn new(models: &'m [Box<dyn FailureModel>], node: TechNode) -> Self {
-        assert!(!models.is_empty(), "at least one failure model required");
+    pub fn new(models: &MechanismSet, node: TechNode) -> Self {
         RateAccumulator {
-            models,
-            node,
+            prepared: models.prepare(&node),
+            vdd: node.vdd,
             rate_sums: PerMechanism::from_fn(|_| PerStructure::from_fn(|_| 0.0)),
             temp_sums: PerStructure::from_fn(|_| 0.0),
             temp_peaks: PerStructure::from_fn(|_| 0.0),
@@ -106,7 +93,7 @@ impl<'m> RateAccumulator<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if `dt_weight` is not finite and positive, or a model
+    /// Panics if `dt_weight` is not finite and positive, or a mechanism
     /// produces a non-finite rate.
     // ramp-lint:allow(unit-safety) -- dt_weight is a dimensionless quadrature weight
     pub fn observe(&mut self, ops: &PerStructure<OperatingPoint>, dt_weight: f64) {
@@ -114,14 +101,11 @@ impl<'m> RateAccumulator<'m> {
             dt_weight.is_finite() && dt_weight > 0.0,
             "interval weight must be positive"
         );
-        for model in self.models {
-            let kind = model.kind();
-            if kind == MechanismKind::Tc {
-                continue; // evaluated on the average temperature at finish
-            }
+        // Thermal cycling is evaluated on the average temperature at finish.
+        for kind in [MechanismKind::Em, MechanismKind::Sm, MechanismKind::Tddb] {
             for s in Structure::ALL {
                 // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-                let r = model.relative_rate(&ops[s], &self.node);
+                let r = self.prepared.rate(kind, &ops[s]);
                 assert!(
                     r.is_finite() && r >= 0.0,
                     "{kind} produced invalid rate {r}"
@@ -155,17 +139,10 @@ impl<'m> RateAccumulator<'m> {
         let mut per_mechanism =
             PerMechanism::from_fn(|m| PerStructure::from_fn(|s| self.rate_sums[m][s] / self.weight)); // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
         // Thermal cycling: one evaluation at the average temperature.
-        for model in self.models {
-            if model.kind() == MechanismKind::Tc {
-                for s in Structure::ALL {
-                    let op = OperatingPoint::new(
-                        avg_temp[s], // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
-                        self.node.vdd,
-                        ramp_units::ActivityFactor::IDLE,
-                    );
-                    per_mechanism[MechanismKind::Tc][s] = model.relative_rate(&op, &self.node); // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
-                }
-            }
+        for s in Structure::ALL {
+            // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
+            let op = OperatingPoint::new(avg_temp[s], self.vdd, ActivityFactor::IDLE);
+            per_mechanism[MechanismKind::Tc][s] = self.prepared.tc.rate(&op); // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
         }
         AveragedRates {
             per_mechanism,
@@ -181,8 +158,6 @@ impl<'m> RateAccumulator<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanisms::standard_models;
-    use ramp_units::{ActivityFactor, Volts};
 
     fn ops(t: f64) -> PerStructure<OperatingPoint> {
         PerStructure::from_fn(|_| {
@@ -196,15 +171,14 @@ mod tests {
 
     #[test]
     fn constant_conditions_average_to_instantaneous() {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let node = TechNode::reference();
         let mut acc = RateAccumulator::new(&models, node);
         for _ in 0..100 {
             acc.observe(&ops(356.0), 1.0);
         }
         let avg = acc.finish();
-        let em = &models[0];
-        let expect = em.relative_rate(&ops(356.0)[Structure::Ifu], &node);
+        let expect = models.em.prepare(&node).rate(&ops(356.0)[Structure::Ifu]);
         assert!((avg.rate(MechanismKind::Em, Structure::Ifu) - expect).abs() / expect < 1e-12);
         assert!((avg.average_temperature()[Structure::Fpu].value() - 356.0).abs() < 1e-9);
         assert!((avg.max_temperature().value() - 356.0).abs() < 1e-9);
@@ -212,7 +186,7 @@ mod tests {
 
     #[test]
     fn weights_respected() {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let node = TechNode::reference();
         let mut acc = RateAccumulator::new(&models, node);
         acc.observe(&ops(340.0), 3.0);
@@ -227,7 +201,7 @@ mod tests {
     fn tc_uses_average_not_average_of_rates() {
         // Half the time at ambient (zero swing), half at +40 K: the TC rate
         // must equal the rate at +20 K, not the mean of the two rates.
-        let models = standard_models();
+        let models = MechanismSet::default();
         let node = TechNode::reference();
         let mut acc = RateAccumulator::new(&models, node);
         acc.observe(&ops(318.15), 1.0);
@@ -245,7 +219,7 @@ mod tests {
         // Jensen's inequality: averaging instantaneous exponential rates
         // over a fluctuating temperature exceeds the rate at the mean
         // temperature — the reason RAMP averages rates, not temperatures.
-        let models = standard_models();
+        let models = MechanismSet::default();
         let node = TechNode::reference();
         let mut fluct = RateAccumulator::new(&models, node);
         fluct.observe(&ops(336.0), 1.0);
@@ -266,7 +240,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no intervals")]
     fn empty_accumulator_panics() {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let acc = RateAccumulator::new(&models, TechNode::reference());
         let _ = acc.finish();
     }

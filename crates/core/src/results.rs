@@ -450,12 +450,12 @@ mod tests {
 
     /// Minimal helpers local to this test module.
     mod ramp_core_test_helpers {
-        pub use crate::mechanisms::standard_models;
+        pub use crate::mechanisms::MechanismSet;
         pub use ramp_trace::spec;
     }
 
     fn mini_results() -> StudyResults {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let cfg = PipelineConfig::quick();
         let apps = ["gzip", "ammp"];
         let mut runs = Vec::new();

@@ -9,7 +9,7 @@
 
 use crate::executor::Executor;
 use crate::mechanisms::{
-    DielectricBreakdown, Electromigration, FailureModel, MechanismKind, StressMigration,
+    DielectricBreakdown, Electromigration, MechanismKind, MechanismSet, StressMigration,
     ThermalCycling,
 };
 use crate::{NodeId, OperatingPoint, TechNode};
@@ -58,9 +58,10 @@ fn probe_points() -> (OperatingPoint, TechNode, OperatingPoint, TechNode) {
     )
 }
 
-fn headline_ratio(model: &dyn FailureModel) -> f64 {
+/// `kind`'s 65 nm rate over its 180 nm rate at the probe points.
+fn headline_ratio(models: &MechanismSet, kind: MechanismKind) -> f64 {
     let (op180, n180, op65, n65) = probe_points();
-    model.relative_rate(&op65, &n65) / model.relative_rate(&op180, &n180)
+    models.prepare(&n65).rate(kind, &op65) / models.prepare(&n180).rate(kind, &op180)
 }
 
 /// Computes the sensitivity table: every fitted constant perturbed by
@@ -95,7 +96,11 @@ pub fn sensitivity_table(spread: f64) -> Vec<SensitivityRow> {
     // workspace; `Executor::map` keeps the rows in declaration order.
     let specs = parameter_specs();
     Executor::from_env().map(&specs, |spec| {
-        let ratio_at = |v: f64| headline_ratio((spec.build)(v).as_ref());
+        let ratio_at = |v: f64| {
+            let mut models = MechanismSet::default();
+            (spec.set)(&mut models, v);
+            headline_ratio(&models, spec.mechanism)
+        };
         SensitivityRow {
             mechanism: spec.mechanism,
             parameter: spec.parameter.to_string(),
@@ -107,131 +112,39 @@ pub fn sensitivity_table(spread: f64) -> Vec<SensitivityRow> {
     })
 }
 
-/// One fitted constant and how to rebuild its mechanism with the constant
-/// replaced.
+/// One fitted constant and how to set it in a model set.
 struct ParameterSpec {
     mechanism: MechanismKind,
     parameter: &'static str,
     nominal: f64,
-    build: Box<dyn Fn(f64) -> Box<dyn FailureModel> + Send + Sync>,
+    set: fn(&mut MechanismSet, f64),
+}
+
+/// The spec of field `$field` of mechanism `$mech`: its default value as
+/// the nominal, and a setter of that same field.
+macro_rules! spec {
+    ($kind:ident, $parameter:literal, $mech:ident . $field:ident) => {
+        ParameterSpec {
+            mechanism: MechanismKind::$kind,
+            parameter: $parameter,
+            nominal: MechanismSet::default().$mech.$field,
+            set: |models, v| models.$mech.$field = v,
+        }
+    };
 }
 
 fn parameter_specs() -> Vec<ParameterSpec> {
-    let mut specs = Vec::new();
-    let mut push = |mechanism: MechanismKind,
-                    parameter: &'static str,
-                    nominal: f64,
-                    build: Box<dyn Fn(f64) -> Box<dyn FailureModel> + Send + Sync>| {
-        specs.push(ParameterSpec {
-            mechanism,
-            parameter,
-            nominal,
-            build,
-        });
-    };
-
-    // Electromigration.
-    let em = Electromigration::default();
-    push(
-        MechanismKind::Em,
-        "EM current exponent n",
-        em.current_exponent,
-        Box::new(move |v| {
-            Box::new(Electromigration {
-                current_exponent: v,
-                ..em
-            })
-        }),
-    );
-    push(
-        MechanismKind::Em,
-        "EM activation energy (eV)",
-        em.activation_energy_ev,
-        Box::new(move |v| {
-            Box::new(Electromigration {
-                activation_energy_ev: v,
-                ..em
-            })
-        }),
-    );
-    push(
-        MechanismKind::Em,
-        "EM geometry exponent",
-        em.geometry_exponent,
-        Box::new(move |v| {
-            Box::new(Electromigration {
-                geometry_exponent: v,
-                ..em
-            })
-        }),
-    );
-
-    // Stress migration.
-    let sm = StressMigration::default();
-    push(
-        MechanismKind::Sm,
-        "SM stress exponent m",
-        sm.stress_exponent,
-        Box::new(move |v| {
-            Box::new(StressMigration {
-                stress_exponent: v,
-                ..sm
-            })
-        }),
-    );
-    push(
-        MechanismKind::Sm,
-        "SM activation energy (eV)",
-        sm.activation_energy_ev,
-        Box::new(move |v| {
-            Box::new(StressMigration {
-                activation_energy_ev: v,
-                ..sm
-            })
-        }),
-    );
-
-    // TDDB.
-    let tddb = DielectricBreakdown::default();
-    push(
-        MechanismKind::Tddb,
-        "TDDB voltage exponent a",
-        tddb.a,
-        Box::new(move |v| Box::new(DielectricBreakdown { a: v, ..tddb })),
-    );
-    push(
-        MechanismKind::Tddb,
-        "TDDB nm per decade",
-        tddb.nm_per_decade,
-        Box::new(move |v| {
-            Box::new(DielectricBreakdown {
-                nm_per_decade: v,
-                ..tddb
-            })
-        }),
-    );
-    push(
-        MechanismKind::Tddb,
-        "TDDB X (eV)",
-        tddb.x_ev,
-        Box::new(move |v| Box::new(DielectricBreakdown { x_ev: v, ..tddb })),
-    );
-
-    // Thermal cycling.
-    let tc = ThermalCycling::default();
-    push(
-        MechanismKind::Tc,
-        "TC Coffin-Manson exponent q",
-        tc.coffin_manson_exponent,
-        Box::new(move |v| {
-            Box::new(ThermalCycling {
-                coffin_manson_exponent: v,
-                ..tc
-            })
-        }),
-    );
-
-    specs
+    vec![
+        spec!(Em, "EM current exponent n", em.current_exponent),
+        spec!(Em, "EM activation energy (eV)", em.activation_energy_ev),
+        spec!(Em, "EM geometry exponent", em.geometry_exponent),
+        spec!(Sm, "SM stress exponent m", sm.stress_exponent),
+        spec!(Sm, "SM activation energy (eV)", sm.activation_energy_ev),
+        spec!(Tddb, "TDDB voltage exponent a", tddb.a),
+        spec!(Tddb, "TDDB nm per decade", tddb.nm_per_decade),
+        spec!(Tddb, "TDDB X (eV)", tddb.x_ev),
+        spec!(Tc, "TC Coffin-Manson exponent q", tc.coffin_manson_exponent),
+    ]
 }
 
 /// Convenience: checks whether the paper's qualitative conclusion — TDDB
@@ -242,32 +155,28 @@ fn parameter_specs() -> Vec<ParameterSpec> {
 // ramp-lint:allow(unit-safety) -- spread is a dimensionless perturbation fraction
 pub fn ordering_is_robust(spread: f64) -> bool {
     // Weakest TDDB & EM vs strongest SM & TC.
-    let tddb = DielectricBreakdown::default();
-    let weak_tddb = DielectricBreakdown {
-        nm_per_decade: tddb.nm_per_decade * (1.0 + spread),
-        a: tddb.a * (1.0 + spread),
-        ..tddb
+    let d = MechanismSet::default();
+    let models = MechanismSet {
+        em: Electromigration {
+            geometry_exponent: d.em.geometry_exponent * (1.0 - spread),
+            activation_energy_ev: d.em.activation_energy_ev * (1.0 - spread),
+            ..d.em
+        },
+        sm: StressMigration {
+            activation_energy_ev: d.sm.activation_energy_ev * (1.0 + spread),
+            ..d.sm
+        },
+        tddb: DielectricBreakdown {
+            nm_per_decade: d.tddb.nm_per_decade * (1.0 + spread),
+            a: d.tddb.a * (1.0 + spread),
+            ..d.tddb
+        },
+        tc: ThermalCycling {
+            coffin_manson_exponent: d.tc.coffin_manson_exponent * (1.0 + spread),
+            ..d.tc
+        },
     };
-    let em = Electromigration::default();
-    let weak_em = Electromigration {
-        geometry_exponent: em.geometry_exponent * (1.0 - spread),
-        activation_energy_ev: em.activation_energy_ev * (1.0 - spread),
-        ..em
-    };
-    let sm = StressMigration::default();
-    let strong_sm = StressMigration {
-        activation_energy_ev: sm.activation_energy_ev * (1.0 + spread),
-        ..sm
-    };
-    let tc = ThermalCycling::default();
-    let strong_tc = ThermalCycling {
-        coffin_manson_exponent: tc.coffin_manson_exponent * (1.0 + spread),
-        ..tc
-    };
-    let r_tddb = headline_ratio(&weak_tddb);
-    let r_em = headline_ratio(&weak_em);
-    let r_sm = headline_ratio(&strong_sm);
-    let r_tc = headline_ratio(&strong_tc);
+    let [r_em, r_sm, r_tddb, r_tc] = MechanismKind::ALL.map(|kind| headline_ratio(&models, kind));
     r_tddb > r_sm && r_tddb > r_tc && r_em > r_sm && r_em > r_tc
 }
 

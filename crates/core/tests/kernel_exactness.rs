@@ -1,19 +1,20 @@
 //! The prepared mechanism kernels reproduce the rate formulas bit for bit.
 //!
-//! Each mechanism's `prepare(node)` hoists the node's invariant factors,
-//! and `relative_rate` is now that kernel's evaluation. This test holds
-//! three evaluations to one set of bits, compared with `to_bits`: the
-//! kernel (through `rate` and through `hoist` + `rate_at`),
-//! `FailureModel::relative_rate`, and a copy of each formula as it read
-//! before the kernels existed. Nodes range over all six `NodeId`s, with
-//! `t_ox` and κ perturbed the way the fleet perturbs a chip's node.
+//! Each mechanism's `prepare(node)` hoists the node's invariant factors.
+//! This test holds the kernel (through `rate`, through `hoist` +
+//! `rate_at` and through `PreparedSet::rate`) to a copy of each formula
+//! as it read before the kernels existed, compared with `to_bits`, and a
+//! `RateAccumulator` to the same accumulation of those formula copies.
+//! Nodes range over all six `NodeId`s, with `t_ox` and κ perturbed the
+//! way the fleet perturbs a chip's node.
 
 use proptest::prelude::*;
 use ramp_core::mechanisms::{
-    DielectricBreakdown, Electromigration, FailureModel, MechanismKernel, MechanismSet,
+    DielectricBreakdown, Electromigration, MechanismKernel, MechanismKind, MechanismSet,
     StressMigration, ThermalCycling,
 };
-use ramp_core::{NodeId, OperatingPoint, TechNode};
+use ramp_core::{NodeId, OperatingPoint, RateAccumulator, TechNode};
+use ramp_microarch::{PerStructure, Structure};
 use ramp_units::{ActivityFactor, Angstroms, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 
 /// Every node, the projected 45 nm point included.
@@ -62,65 +63,75 @@ fn tc_formula(m: &ThermalCycling, op: &OperatingPoint) -> f64 {
     swing.powf(m.coffin_manson_exponent)
 }
 
-/// Panics unless the kernel's two evaluation paths, the trait and the
-/// formula agree bit for bit.
-fn check<K: MechanismKernel>(
-    label: &str,
-    model: &dyn FailureModel,
-    kernel: K,
-    formula: f64,
-    op: &OperatingPoint,
-    node: &TechNode,
-) {
-    let want = formula.to_bits();
-    let context = || format!("{label} at {op:?} on {:?}", node.id);
-    prop_assert_eq!(
-        model.relative_rate(op, node).to_bits(),
-        want,
-        "trait: {}",
-        context()
-    );
-    prop_assert_eq!(kernel.rate(op).to_bits(), want, "rate: {}", context());
+/// Panics unless the kernel's two evaluation paths give `want`'s bits.
+fn check<K: MechanismKernel>(label: &str, kernel: K, want: f64, op: &OperatingPoint) {
+    let want = want.to_bits();
+    assert_eq!(kernel.rate(op).to_bits(), want, "{label} rate at {op:?}");
     let hoisted = kernel.hoist(op.voltage, op.activity);
-    prop_assert_eq!(
-        kernel.rate_at(hoisted, op.temperature).to_bits(),
-        want,
-        "rate_at: {}",
-        context()
-    );
+    let rate_at = kernel.rate_at(hoisted, op.temperature).to_bits();
+    assert_eq!(rate_at, want, "{label} rate_at at {op:?}");
 }
 
-/// Every mechanism, both parameter sets where there are two.
+/// Every mechanism of both parameter sets, through each kernel and
+/// through `PreparedSet::rate`.
 fn check_all(op: &OperatingPoint, node: &TechNode) {
-    for em in [Electromigration::default(), Electromigration::published()] {
-        check(
-            "EM",
-            &em,
-            em.prepare(node),
-            em_formula(&em, op, node),
-            op,
-            node,
-        );
+    for set in sets() {
+        let prepared = set.prepare(node);
+        let want = |kind| formula(&set, kind, op, node);
+        check("EM", prepared.em, want(MechanismKind::Em), op);
+        check("SM", prepared.sm, want(MechanismKind::Sm), op);
+        check("TDDB", prepared.tddb, want(MechanismKind::Tddb), op);
+        check("TC", prepared.tc, want(MechanismKind::Tc), op);
+        for kind in MechanismKind::ALL {
+            let (got, want) = (prepared.rate(kind, op), want(kind));
+            let context = format!("{kind} at {op:?} on {:?}", node.id);
+            assert_eq!(got.to_bits(), want.to_bits(), "{context}");
+        }
     }
-    let sm = StressMigration::default();
-    check("SM", &sm, sm.prepare(node), sm_formula(&sm, op), op, node);
-    for tddb in [
-        DielectricBreakdown::default(),
-        DielectricBreakdown::published_wu(),
-    ] {
-        let formula = tddb_formula(&tddb, op, node);
-        check("TDDB", &tddb, tddb.prepare(node), formula, op, node);
-    }
-    let tc = ThermalCycling::default();
-    check("TC", &tc, tc.prepare(node), tc_formula(&tc, op), op, node);
+}
 
-    // The set prepares each member exactly as the member prepares itself.
-    let set = MechanismSet::default();
-    let prepared = set.prepare(node);
-    prop_assert_eq!(prepared.em, set.em.prepare(node));
-    prop_assert_eq!(prepared.sm, set.sm.prepare(node));
-    prop_assert_eq!(prepared.tddb, set.tddb.prepare(node));
-    prop_assert_eq!(prepared.tc, set.tc.prepare(node));
+/// The default set and the one with each mechanism's published
+/// parameters (SM and TC have one parameter set).
+fn sets() -> [MechanismSet; 2] {
+    let published = MechanismSet {
+        em: Electromigration::published(),
+        tddb: DielectricBreakdown::published_wu(),
+        ..MechanismSet::default()
+    };
+    [MechanismSet::default(), published]
+}
+
+/// `kind`'s formula copy with `set`'s parameters.
+fn formula(set: &MechanismSet, kind: MechanismKind, op: &OperatingPoint, node: &TechNode) -> f64 {
+    match kind {
+        MechanismKind::Em => em_formula(&set.em, op, node),
+        MechanismKind::Sm => sm_formula(&set.sm, op),
+        MechanismKind::Tddb => tddb_formula(&set.tddb, op, node),
+        MechanismKind::Tc => tc_formula(&set.tc, op),
+    }
+}
+
+/// `RateAccumulator`'s average of `kind` at `s` over `intervals`, on
+/// the formula copies: the weighted mean rate for EM, SM and TDDB, and
+/// TC once at the weighted mean temperature.
+fn accumulated(
+    set: &MechanismSet,
+    node: &TechNode,
+    intervals: &[(PerStructure<OperatingPoint>, f64)],
+    kind: MechanismKind,
+    s: Structure,
+) -> f64 {
+    let weight: f64 = intervals.iter().map(|(_, w)| w).sum();
+    let mean = |f: &dyn Fn(&OperatingPoint) -> f64| {
+        intervals.iter().map(|(ops, w)| f(&ops[s]) * w).sum::<f64>() / weight
+    };
+    if kind == MechanismKind::Tc {
+        let t = Kelvin::new(mean(&|op| op.temperature.value())).unwrap();
+        let op = OperatingPoint::new(t, node.vdd, ActivityFactor::IDLE);
+        tc_formula(&set.tc, &op)
+    } else {
+        mean(&|op| formula(set, kind, op, node))
+    }
 }
 
 fn op(t: f64, v: f64, p: f64) -> OperatingPoint {
@@ -141,7 +152,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn prepared_kernels_match_relative_rate_bit_for_bit(
+    fn prepared_kernels_match_the_formulas_bit_for_bit(
         t in 300.0f64..420.0,
         v_pick in 0usize..12,
         v_drawn in 0.7f64..1.4,
@@ -179,6 +190,45 @@ fn prepared_kernels_match_on_the_grid_corners() {
                 for activity in [0.0, 0.5, 1.0] {
                     for t in [300.0, 318.15, 360.0, 420.0] {
                         check_all(&op(t, supply, activity), &node);
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn accumulator_matches_the_formula_accumulation_bit_for_bit(
+        temps in proptest::collection::vec(300.0f64..420.0, 4 * Structure::COUNT),
+        activities in proptest::collection::vec(0.0f64..=1.0, 4 * Structure::COUNT),
+        supplies in proptest::collection::vec(0.7f64..1.4, 4),
+        weights in proptest::collection::vec(0.1f64..10.0, 4),
+    ) {
+        let intervals: Vec<(PerStructure<OperatingPoint>, f64)> = (0..4)
+            .map(|i| {
+                let ops = PerStructure::from_fn(|s| {
+                    let cell = i * Structure::COUNT + s.index();
+                    op(temps[cell], supplies[i], activities[cell])
+                });
+                (ops, weights[i])
+            })
+            .collect();
+        for id in NODES {
+            let node = TechNode::get(id);
+            for set in sets() {
+                let mut acc = RateAccumulator::new(&set, node);
+                for (ops, w) in &intervals {
+                    acc.observe(ops, *w);
+                }
+                let got = acc.finish();
+                for kind in MechanismKind::ALL {
+                    for s in Structure::ALL {
+                        let want = accumulated(&set, &node, &intervals, kind, s);
+                        let context = format!("{kind} {s:?} on {id:?}");
+                        prop_assert_eq!(got.rate(kind, s).to_bits(), want.to_bits(), "{context}");
                     }
                 }
             }

@@ -98,7 +98,6 @@ impl PopulationAccumulator {
     ///
     /// Panics on a non-finite-negative failure time (`f64::MAX`, meaning
     /// "never fails", is accepted and lands in the overflow region).
-    // ramp-lint:allow(unit-safety) -- year-denominated, documented in the name
     pub fn record(&mut self, failure_years: f64, killer: MechanismKind) {
         assert!(
             failure_years >= 0.0 && !failure_years.is_nan(),
@@ -167,7 +166,6 @@ impl PopulationAccumulator {
     /// spacing) and clamped to the exact observed min/max. Returns `None`
     /// when empty.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- q is a dimensionless quantile level
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.total == 0 {
             return None;
@@ -227,7 +225,6 @@ impl PopulationAccumulator {
 
     /// Defective parts per million at or before `years` whole years.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- DPPM is the industry-standard dimensionless unit here
     pub fn dppm_at_year(&self, years: usize) -> f64 {
         self.failed_by_year(years).dppm()
     }

@@ -20,11 +20,12 @@
 //! oxide and gate-area logs); one pass over the 7 structures that
 //! evaluates the 28 (mechanism, structure) rates on those kernels and
 //! fills all four FIT sums; and 4 lifetime draws. Every term no chip
-//! moves (truncation windows, Γ(1 + 1/β), EM's `J^n`, TDDB's `ln V`) is
-//! evaluated once in [`ChipSampler::new`]. Measured: ~870 ns per chip
+//! moves (truncation windows, Γ(1 + 1/β), the lognormal's `e^{−σ²/2}`,
+//! EM's `J^n`, TDDB's `ln V`) is evaluated once in
+//! [`ChipSampler::new`]. Measured: ~870 ns per chip
 //! (`fleet.sample_chip_ns` in a traced `fleet_population` benchmark run,
 //! one pinned core of a 2-vCPU Xeon), down from ~1.76 µs when each cell
-//! went through `Box<dyn FailureModel>` on the perturbed node.
+//! re-prepared its mechanism on the perturbed node through a trait object.
 
 use crate::sampler::{CoffinMansonShape, Lognormal};
 use crate::variation::{ChipVariation, VariationModel, VariationSampler};
@@ -93,8 +94,8 @@ impl SharedTerms {
 /// Construction precomputes the anchor's per-structure temperatures, base
 /// analytic rates and base qualified FITs, plus every term that no chip
 /// moves: the variation draws' truncation windows, the TC Weibull's
-/// Γ(1 + 1/β), EM's `J^n` at the reference activity and TDDB's `ln V` at
-/// the anchor supply. After that, [`ChipSampler::sample_chip`] is
+/// Γ(1 + 1/β), the lognormal's `e^{−σ²/2}`, EM's `J^n` at the reference
+/// activity and TDDB's `ln V` at the anchor supply. After that, [`ChipSampler::sample_chip`] is
 /// allocation-free.
 #[derive(Debug)]
 pub struct ChipSampler {
@@ -102,6 +103,8 @@ pub struct ChipSampler {
     variation: VariationModel,
     draws: VariationSampler,
     tc_shape: CoffinMansonShape,
+    /// [`Lognormal::mean_to_median`] at the lifetime sigma.
+    mean_to_median: f64,
     mechanisms: MechanismSet,
     shared: SharedTerms,
     cells: PerStructure<AnchorCell>,
@@ -131,6 +134,7 @@ impl ChipSampler {
             variation,
             draws: VariationSampler::new(&variation),
             tc_shape: CoffinMansonShape::new(variation.tc_shape),
+            mean_to_median: Lognormal::mean_to_median(variation.lifetime_sigma),
             mechanisms,
             shared,
             cells,
@@ -211,7 +215,8 @@ impl ChipSampler {
             } else if m == MechanismKind::Tc {
                 self.tc_shape.with_mean_years(mean_years).sample_years(rng)
             } else {
-                Lognormal::from_mean(mean_years, self.variation.lifetime_sigma).sample(rng)
+                let median = mean_years * self.mean_to_median;
+                Lognormal::from_median(median, self.variation.lifetime_sigma).sample(rng)
             };
             // Strict < keeps the tie-break deterministic: first mechanism
             // in canonical order wins.

@@ -28,7 +28,6 @@ use ramp_units::{Sigma, WeibullShape};
 /// Panics if `p` is outside the open interval `(0, 1)`; draws from
 /// [`crate::rng::open_unit`] never are.
 #[must_use]
-// ramp-lint:allow(unit-safety) -- probability in, standard-normal deviate out; both dimensionless
 pub fn inverse_normal_cdf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "probit argument {p} outside (0,1)");
     const A: [f64; 6] = [
@@ -81,7 +80,6 @@ pub fn inverse_normal_cdf(p: f64) -> f64 {
 /// One standard-normal deviate via inverse-CDF transform (exactly one
 /// `u64` of the stream per draw, which keeps per-chip draw budgets fixed).
 #[must_use]
-// ramp-lint:allow(unit-safety) -- standard-normal deviate is dimensionless
 pub fn standard_normal(rng: &mut Rng) -> f64 {
     inverse_normal_cdf(open_unit(rng))
 }
@@ -101,7 +99,6 @@ impl Lognormal {
     ///
     /// Panics if `median` is not finite and positive.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- median carries the caller's unit; sampler is unit-agnostic
     pub fn from_median(median: f64, sigma: Sigma) -> Self {
         assert!(
             median.is_finite() && median > 0.0,
@@ -122,22 +119,27 @@ impl Lognormal {
     ///
     /// Panics if `mean` is not finite and positive.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- mean carries the caller's unit; sampler is unit-agnostic
     pub fn from_mean(mean: f64, sigma: Sigma) -> Self {
+        Lognormal::from_median(mean * Lognormal::mean_to_median(sigma), sigma)
+    }
+
+    /// The median-to-mean ratio `e^{−σ²/2}` at log-sigma `sigma`, for a
+    /// caller that builds many distributions of one sigma with
+    /// [`Lognormal::from_median`].
+    #[must_use]
+    pub(crate) fn mean_to_median(sigma: Sigma) -> f64 {
         let s = sigma.value();
-        Lognormal::from_median(mean * (-0.5 * s * s).exp(), sigma)
+        (-0.5 * s * s).exp()
     }
 
     /// The distribution's median.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- returns the caller's unit
     pub fn median(&self) -> f64 {
         self.ln_median.exp()
     }
 
     /// The distribution's mean.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- returns the caller's unit
     pub fn mean(&self) -> f64 {
         let s = self.sigma.value();
         (self.ln_median + 0.5 * s * s).exp()
@@ -145,7 +147,6 @@ impl Lognormal {
 
     /// One draw. Strictly positive by construction.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- returns the caller's unit
     pub fn sample(&self, rng: &mut Rng) -> f64 {
         (self.ln_median + self.sigma.value() * standard_normal(rng)).exp()
     }
@@ -178,7 +179,6 @@ impl TruncatedNormal {
     /// mean, otherwise rejection is hopeless and the model is misspecified
     /// anyway).
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- mean/bounds carry the caller's unit; sampler is unit-agnostic
     pub fn new(mean: f64, sigma: Sigma, lo: f64, hi: f64) -> Self {
         assert!(
             lo <= mean && mean <= hi,
@@ -189,7 +189,6 @@ impl TruncatedNormal {
 
     /// The symmetric ±`k`σ window around `mean`.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- mean carries the caller's unit; k is a dimensionless multiple
     pub fn symmetric(mean: f64, sigma: Sigma, k: f64) -> Self {
         let half = k * sigma.value();
         TruncatedNormal::new(mean, sigma, mean - half, mean + half)
@@ -197,21 +196,18 @@ impl TruncatedNormal {
 
     /// Lower truncation bound.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- returns the caller's unit
     pub fn lo(&self) -> f64 {
         self.lo
     }
 
     /// Upper truncation bound.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- returns the caller's unit
     pub fn hi(&self) -> f64 {
         self.hi
     }
 
     /// One draw, always inside `[lo, hi]`.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- returns the caller's unit
     pub fn sample(&self, rng: &mut Rng) -> f64 {
         for _ in 0..Self::MAX_REJECTS {
             let v = self.mean + self.sigma.value() * standard_normal(rng);
@@ -226,7 +222,6 @@ impl TruncatedNormal {
 /// Γ(x) for x > 0 via the Lanczos approximation (g = 7, n = 9); relative
 /// error ~1e-13 in the x ∈ (1, 2] range the Weibull mean needs.
 #[must_use]
-// ramp-lint:allow(unit-safety) -- pure math on dimensionless arguments
 pub fn gamma_fn(x: f64) -> f64 {
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
@@ -278,7 +273,6 @@ impl CoffinManson {
     ///
     /// Panics unless both swings are positive.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- Kelvin swings documented in the names; returns years
     pub fn mean_years_at_swing(
         reference_mean_years: f64,
         reference_delta_t: f64,
@@ -294,14 +288,12 @@ impl CoffinManson {
 
     /// The Weibull scale (characteristic life), in years.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- year-denominated, documented in the name
     pub fn scale_years(&self) -> f64 {
         self.scale_years
     }
 
     /// One lifetime draw in years. Strictly positive and finite.
     #[must_use]
-    // ramp-lint:allow(unit-safety) -- year-denominated, documented in the name
     pub fn sample_years(&self, rng: &mut Rng) -> f64 {
         let u = open_unit(rng);
         self.scale_years * (-(1.0 - u).ln()).powf(1.0 / self.shape.value())

@@ -4,14 +4,14 @@
 //! The sampler prices a chip with node-prepared mechanism kernels and
 //! hoists every term no chip moves. The reference below is the loop it
 //! replaced, kept here verbatim in behaviour: the variation windows are
-//! rebuilt per chip, each (mechanism, structure) cell goes through
-//! `Box<dyn FailureModel>::relative_rate` on the perturbed node, each
+//! rebuilt per chip, each (mechanism, structure) cell prepares the
+//! perturbed node afresh and evaluates its one mechanism there, each
 //! mechanism sums its own structures, and the TC Weibull recomputes
 //! Γ(1 + 1/β) per chip. Every chip's `failure_years` must agree to the
 //! bit and its killer must match, at every study node, under the default
 //! and the degenerate variation model.
 
-use ramp_core::mechanisms::{standard_models, FailureModel, MechanismKind, PerMechanism};
+use ramp_core::mechanisms::{MechanismKind, MechanismSet, PerMechanism};
 use ramp_core::{NodeId, OperatingPoint, PopulationAnchor, QueryEngine, StudyConfig, TechNode};
 use ramp_fleet::{
     chip_rng, ChipOutcome, ChipSampler, CoffinMansonShape, Lognormal, TruncatedNormal,
@@ -24,11 +24,11 @@ use ramp_units::{ActivityFactor, Angstroms, Kelvin};
 /// Chip streams compared per (node, variation model).
 const CHIPS: u64 = 2_000;
 
-/// The per-mechanism, dynamically dispatched chip evaluator.
+/// The per-mechanism, per-cell chip evaluator.
 struct Reference {
     node: TechNode,
     variation: VariationModel,
-    models: Vec<Box<dyn FailureModel>>,
+    models: MechanismSet,
     base_ops: PerStructure<OperatingPoint>,
     base_rate: PerMechanism<PerStructure<f64>>,
     base_fit: PerMechanism<PerStructure<f64>>,
@@ -36,7 +36,7 @@ struct Reference {
 
 impl Reference {
     fn new(anchor: &PopulationAnchor, variation: VariationModel) -> Self {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let activity = ActivityFactor::new(0.5).unwrap();
         let base_ops = PerStructure::from_fn(|s| {
             OperatingPoint::new(
@@ -46,8 +46,7 @@ impl Reference {
             )
         });
         let base_rate = PerMechanism::from_fn(|m| {
-            let model = models.iter().find(|mo| mo.kind() == m).unwrap();
-            PerStructure::from_fn(|s| model.relative_rate(&base_ops[s], &anchor.node))
+            PerStructure::from_fn(|s| models.prepare(&anchor.node).rate(m, &base_ops[s]))
         });
         let base_fit =
             PerMechanism::from_fn(|m| PerStructure::from_fn(|s| anchor.report.fit(m, s).value()));
@@ -62,7 +61,6 @@ impl Reference {
     }
 
     fn mechanism_mean_years(&self, m: MechanismKind, chip_node: &TechNode, offset: f64) -> f64 {
-        let model = self.models.iter().find(|mo| mo.kind() == m).unwrap();
         let mut chip_fit = 0.0;
         for s in Structure::ALL {
             let base = self.base_rate[m][s];
@@ -71,7 +69,7 @@ impl Reference {
             }
             let mut op = self.base_ops[s];
             op.temperature = Kelvin::new(op.temperature.value() + offset).unwrap_or(op.temperature);
-            let ratio = model.relative_rate(&op, chip_node) / base;
+            let ratio = self.models.prepare(chip_node).rate(m, &op) / base;
             chip_fit += self.base_fit[m][s] * ratio;
         }
         if chip_fit <= 0.0 {

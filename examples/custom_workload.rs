@@ -8,7 +8,7 @@
 //! cargo run --example custom_workload --release
 //! ```
 
-use ramp_core::mechanisms::{standard_models, MechanismKind};
+use ramp_core::mechanisms::{MechanismKind, MechanismSet};
 use ramp_core::{run_app_on_node, NodeId, PipelineConfig, Qualification, TechNode};
 use ramp_trace::{
     BenchmarkProfile, BranchModel, InstructionMix, MemoryModel, PhaseModel, PublishedStats,
@@ -97,7 +97,7 @@ fn pointer_chaser() -> BenchmarkProfile {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = PipelineConfig::quick();
-    let models = standard_models();
+    let models = MechanismSet::default();
     let node = TechNode::get(NodeId::N90);
 
     println!("custom workloads on the 90nm node");

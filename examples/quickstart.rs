@@ -5,7 +5,7 @@
 //! cargo run --example quickstart --release
 //! ```
 
-use ramp_core::mechanisms::{standard_models, MechanismKind};
+use ramp_core::mechanisms::{MechanismKind, MechanismSet};
 use ramp_core::{
     run_app_on_node, NodeId, PipelineConfig, Qualification, TechNode,
 };
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Run the full pipeline: trace → timing → power → temperature →
     //    failure-rate accumulation. `quick()` keeps the run short; use
     //    `PipelineConfig::default()` for production-length runs.
-    let models = standard_models();
+    let models = MechanismSet::default();
     let run = run_app_on_node(&profile, &node, &PipelineConfig::quick(), &models, None)?;
 
     println!("workload          : {} ({})", profile.name, profile.suite);

@@ -15,7 +15,7 @@
 //! matrix runs once, in row order with the trace cells last, and each
 //! test named after a row and product asserts its cells of that run.
 
-use ramp_core::mechanisms::{standard_models, PerMechanism};
+use ramp_core::mechanisms::{MechanismSet, PerMechanism};
 use ramp_core::{
     run_app_on_node, run_study, NodeId, PipelineConfig, Qualification, QueryEngine, RunManifest,
     StudyConfig, TechNode,
@@ -58,7 +58,7 @@ fn timing_simulation_is_deterministic() {
 
 #[test]
 fn pipeline_is_deterministic_across_nodes() {
-    let models = standard_models();
+    let models = MechanismSet::default();
     let p = spec::profile("sixtrack").unwrap();
     for id in [NodeId::N180, NodeId::N65HighV] {
         let run = |reference| {

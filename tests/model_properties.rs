@@ -2,7 +2,7 @@
 //! exercised through the public cross-crate API.
 
 use proptest::prelude::*;
-use ramp_core::mechanisms::{standard_models, MechanismKind, PerMechanism};
+use ramp_core::mechanisms::{MechanismKernel, MechanismKind, MechanismSet, PerMechanism};
 use ramp_core::{NodeId, OperatingPoint, Qualification, RateAccumulator, TechNode};
 use ramp_microarch::{PerStructure, Structure};
 use ramp_units::{ActivityFactor, Kelvin, Volts};
@@ -27,12 +27,12 @@ proptest! {
         p in 0.0f64..1.0,
         node_idx in 0usize..5,
     ) {
-        let node = TechNode::get(NodeId::ALL[node_idx]);
-        for model in standard_models() {
-            let r = model.relative_rate(&op(t, v, p), &node);
-            prop_assert!(r.is_finite() && r >= 0.0, "{}: {r}", model.kind());
-            let hotter = model.relative_rate(&op(t + 5.0, v, p), &node);
-            prop_assert!(hotter >= r, "{} not monotone at {t}K", model.kind());
+        let prepared = MechanismSet::default().prepare(&TechNode::get(NodeId::ALL[node_idx]));
+        for kind in MechanismKind::ALL {
+            let r = prepared.rate(kind, &op(t, v, p));
+            prop_assert!(r.is_finite() && r >= 0.0, "{kind}: {r}");
+            let hotter = prepared.rate(kind, &op(t + 5.0, v, p));
+            prop_assert!(hotter >= r, "{kind} not monotone at {t}K");
         }
     }
 
@@ -43,17 +43,10 @@ proptest! {
         p in 0.05f64..0.9,
         v in 0.9f64..1.25,
     ) {
-        let node = TechNode::reference();
-        let models = standard_models();
-        let em = models.iter().find(|m| m.kind() == MechanismKind::Em).unwrap();
+        let prepared = MechanismSet::default().prepare(&TechNode::reference());
+        prop_assert!(prepared.em.rate(&op(t, 1.3, p + 0.1)) > prepared.em.rate(&op(t, 1.3, p)));
         prop_assert!(
-            em.relative_rate(&op(t, 1.3, p + 0.1), &node)
-                > em.relative_rate(&op(t, 1.3, p), &node)
-        );
-        let tddb = models.iter().find(|m| m.kind() == MechanismKind::Tddb).unwrap();
-        prop_assert!(
-            tddb.relative_rate(&op(t, v + 0.05, 0.5), &node)
-                > tddb.relative_rate(&op(t, v, 0.5), &node)
+            prepared.tddb.rate(&op(t, v + 0.05, 0.5)) > prepared.tddb.rate(&op(t, v, 0.5))
         );
     }
 
@@ -65,7 +58,7 @@ proptest! {
         temps in proptest::collection::vec(325.0f64..385.0, 7),
         acts in proptest::collection::vec(0.0f64..1.0, 7),
     ) {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let node = TechNode::reference();
         let mut acc = RateAccumulator::new(&models, node);
         let ops = PerStructure::from_fn(|s| op(temps[s.index()], 1.3, acts[s.index()]));
@@ -95,7 +88,7 @@ proptest! {
         w1 in 0.1f64..10.0,
         w2 in 0.1f64..10.0,
     ) {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let node = TechNode::reference();
         let uniform = |t: f64| PerStructure::from_fn(|_| op(t, 1.3, 0.5));
 
@@ -129,7 +122,7 @@ proptest! {
         p in 0.05f64..0.95,
         node_idx in 0usize..5,
     ) {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let node = TechNode::get(NodeId::ALL[node_idx]);
         let rates_at = |t: f64| {
             let mut acc = RateAccumulator::new(&models, node);
@@ -160,7 +153,7 @@ proptest! {
     /// common factor leaves qualified FIT reports unchanged.
     #[test]
     fn qualification_is_scale_invariant(scale in 0.01f64..100.0) {
-        let models = standard_models();
+        let models = MechanismSet::default();
         let node = TechNode::reference();
         let ops = PerStructure::from_fn(|s| op(340.0 + 5.0 * s.index() as f64, 1.3, 0.4));
 

@@ -1,7 +1,7 @@
 //! End-to-end integration tests across all workspace crates: trace →
 //! timing → power → thermal → RAMP.
 
-use ramp_core::mechanisms::{standard_models, MechanismKind};
+use ramp_core::mechanisms::{MechanismKind, MechanismSet};
 use ramp_core::{run_app_on_node, NodeId, PipelineConfig, Qualification, TechNode};
 use ramp_microarch::Structure;
 use ramp_trace::spec;
@@ -12,7 +12,7 @@ fn quick() -> PipelineConfig {
 
 #[test]
 fn full_pipeline_produces_physical_results_for_every_benchmark() {
-    let models = standard_models();
+    let models = MechanismSet::default();
     let node = TechNode::reference();
     for profile in spec::all_profiles() {
         let run = run_app_on_node(&profile, &node, &quick(), &models, None)
@@ -44,7 +44,7 @@ fn full_pipeline_produces_physical_results_for_every_benchmark() {
 
 #[test]
 fn qualification_budget_splits_equally_across_mechanisms() {
-    let models = standard_models();
+    let models = MechanismSet::default();
     let node = TechNode::reference();
     let runs: Vec<_> = ["gzip", "ammp", "mesa", "crafty"]
         .iter()
@@ -66,7 +66,7 @@ fn qualification_budget_splits_equally_across_mechanisms() {
 
 #[test]
 fn fp_and_int_workloads_stress_different_structures() {
-    let models = standard_models();
+    let models = MechanismSet::default();
     let node = TechNode::reference();
     let fp = run_app_on_node(
         &spec::profile("applu").unwrap(),
@@ -95,7 +95,7 @@ fn fp_and_int_workloads_stress_different_structures() {
 
 #[test]
 fn hotter_structures_fail_faster_within_a_run() {
-    let models = standard_models();
+    let models = MechanismSet::default();
     let node = TechNode::reference();
     let run = run_app_on_node(
         &spec::profile("crafty").unwrap(),
@@ -137,7 +137,7 @@ fn hotter_structures_fail_faster_within_a_run() {
 
 #[test]
 fn constant_sink_rule_anchors_scaled_runs() {
-    let models = standard_models();
+    let models = MechanismSet::default();
     let profile = spec::profile("facerec").unwrap();
     let base = run_app_on_node(
         &profile,
@@ -167,7 +167,7 @@ fn constant_sink_rule_anchors_scaled_runs() {
 
 #[test]
 fn leakage_grows_with_scaling_while_dynamic_shrinks() {
-    let models = standard_models();
+    let models = MechanismSet::default();
     let profile = spec::profile("gap").unwrap();
     let base = run_app_on_node(
         &profile,
