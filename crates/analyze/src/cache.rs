@@ -22,7 +22,7 @@ use std::path::PathBuf;
 
 /// Bump when the summary format or any extraction rule changes, so
 /// stale-format entries miss instead of misparse.
-const CACHE_VERSION: &str = "ramp-lint-cache v3";
+const CACHE_VERSION: &str = "ramp-lint-cache v4";
 
 /// Handle to one run's cache directory.
 #[derive(Debug, Clone)]

@@ -115,12 +115,14 @@ impl FileContext {
 }
 
 /// Extracts inline allow directives (`ramp-lint:allow` and a
-/// parenthesised, comma-separated rule list) from comment tokens.
+/// parenthesised, comma-separated rule list) from plain `//` comments.
 /// The directive suppresses findings on its own line and the line below,
 /// so it can trail the offending statement or sit directly above it.
+/// Doc and block comments never carry one, so documentation may spell
+/// the directive out.
 fn collect_allows(tokens: &[Token]) -> BTreeMap<u32, BTreeSet<String>> {
     let mut map: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
-    for tok in tokens.iter().filter(|t| t.is_comment()) {
+    for tok in tokens.iter().filter(|t| is_plain_line_comment(t)) {
         let mut rest = tok.text.as_str();
         while let Some(at) = rest.find("ramp-lint:allow(") {
             rest = &rest[at + "ramp-lint:allow(".len()..];
@@ -136,6 +138,15 @@ fn collect_allows(tokens: &[Token]) -> BTreeMap<u32, BTreeSet<String>> {
         }
     }
     map
+}
+
+/// True for a `//` comment that is not a doc comment (`///`, `//!`); a
+/// comment of four or more slashes is plain again, as in rustdoc.
+fn is_plain_line_comment(tok: &Token) -> bool {
+    let text = tok.text.as_str();
+    tok.kind == TokenKind::LineComment
+        && !text.starts_with("//!")
+        && (!text.starts_with("///") || text.starts_with("////"))
 }
 
 /// Finds the raw-token spans of `#[cfg(test)]` items: the attribute, any

@@ -31,8 +31,9 @@
 //!
 //! Two escape hatches keep the gate honest instead of noisy: an inline
 //! `ramp-lint:allow` comment naming the rule, on (or directly above) a
-//! line, documents an individual exception in place (`allow-hygiene`
-//! rejects one that suppresses nothing), and `lint-baseline.toml` accepts
+//! line, documents an individual exception in place (only plain `//`
+//! comments carry one; `allow-hygiene` rejects one that suppresses
+//! nothing), and `lint-baseline.toml` accepts
 //! pre-existing findings by `(rule, file, symbol)` so the gate can be
 //! introduced into a living codebase and burned down over time.
 

@@ -316,6 +316,30 @@ fn panic_hygiene_allow_stays_live_where_only_panic_reach_reads_it() {
     assert!(lint("bench", FileKind::Lib, src).is_empty());
 }
 
+#[test]
+fn doc_and_block_comments_spelling_out_the_directive_register_nothing() {
+    let directive = "ramp-lint:allow(panic-hygiene) -- total";
+    let lint_after = |comment: &str| {
+        let src = format!("{comment}\nfn f() {{ x.unwrap(); }}\n");
+        rules(&lint("core", FileKind::Lib, &src))
+    };
+    // Documentation may show the directive: it suppresses nothing...
+    for doc in [
+        format!("/// Justify a site with `// {directive}`."),
+        format!("//! {directive}"),
+        format!("/* {directive} */"),
+    ] {
+        assert_eq!(lint_after(&doc), ["panic-hygiene"], "{doc}");
+    }
+    // ...and is no allow for allow-hygiene to judge.
+    let typo = directive.replace("panic-hygiene", "unit-safty");
+    let src = format!("/// e.g. `{typo}`\nfn f() {{}}\n");
+    assert!(lint("core", FileKind::Lib, &src).is_empty());
+    // Plain comments carry it, four slashes included.
+    assert!(lint_after(&format!("// {directive}")).is_empty());
+    assert!(lint_after(&format!("//// {directive}")).is_empty());
+}
+
 // ----------------------------------------------------------------- compounds
 
 #[test]

@@ -118,7 +118,32 @@ impl ActivityTrace {
     }
 }
 
+/// The work one instruction leaves on the machine's structures, as the
+/// engine hands it to every collector in one call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InstructionActivity {
+    /// Cycle of the fetch.
+    pub fetch: u64,
+    /// IFU events at `fetch`: the instruction plus any wrong-path
+    /// fetches behind a mispredict.
+    pub fetched: u64,
+    /// Cycle of the dispatch.
+    pub dispatch: u64,
+    /// IDU events at `dispatch`.
+    pub dispatched: u64,
+    /// Cycle of the issue: one event on `unit` and one on the ISU.
+    pub issue: u64,
+    /// The functional-unit structure that executes the instruction.
+    pub unit: Structure,
+    /// Cycle of the retirement.
+    pub retire: u64,
+}
+
 /// Accumulates raw events and produces an [`ActivityTrace`].
+///
+/// Consecutive events almost always fall in the same interval, so the
+/// collector keeps the bucket it last wrote and divides a cycle by the
+/// interval length only when an event lands outside that bucket.
 #[derive(Debug, Clone)]
 pub struct ActivityCollector {
     interval_cycles: u64,
@@ -126,6 +151,12 @@ pub struct ActivityCollector {
     /// events[bucket][structure]
     events: Vec<PerStructure<u64>>,
     retired: Vec<u64>,
+    /// Index of the bucket written last.
+    current: usize,
+    /// Cycles `[current_start, current_end)` of bucket `current`; empty
+    /// until the first event.
+    current_start: u64,
+    current_end: u64,
 }
 
 impl ActivityCollector {
@@ -147,19 +178,39 @@ impl ActivityCollector {
             capacities,
             events: Vec::new(),
             retired: Vec::new(),
+            current: 0,
+            current_start: 0,
+            current_end: 0,
         }
     }
 
+    /// Index of the bucket holding `cycle`.
+    #[inline]
     fn bucket_mut(&mut self, cycle: u64) -> usize {
-        let bucket = (cycle / self.interval_cycles) as usize;
+        if (self.current_start..self.current_end).contains(&cycle) {
+            self.current
+        } else {
+            self.enter_bucket(cycle)
+        }
+    }
+
+    /// Divides `cycle` into its bucket, grows the buckets to reach it and
+    /// makes it the current bucket.
+    fn enter_bucket(&mut self, cycle: u64) -> usize {
+        let index = cycle / self.interval_cycles;
+        let bucket = index as usize;
         if bucket >= self.events.len() {
             self.events.resize(bucket + 1, PerStructure::default());
             self.retired.resize(bucket + 1, 0);
         }
+        self.current = bucket;
+        self.current_start = index * self.interval_cycles;
+        self.current_end = self.current_start.saturating_add(self.interval_cycles);
         bucket
     }
 
     /// Records `count` work events on `structure` at `cycle`.
+    #[inline]
     pub fn record(&mut self, structure: Structure, cycle: u64, count: u64) {
         let b = self.bucket_mut(cycle);
         // ramp-lint:allow(panic-reach) -- the bucket index is clamped to the bucket count
@@ -167,10 +218,23 @@ impl ActivityCollector {
     }
 
     /// Records an instruction retirement at `cycle`.
+    #[inline]
     pub fn record_retire(&mut self, cycle: u64, count: u64) {
         let b = self.bucket_mut(cycle);
         // ramp-lint:allow(panic-reach) -- the bucket index is clamped to the bucket count
         self.retired[b] += count;
+    }
+
+    /// Records one instruction's events. The buckets are visited in the
+    /// order the instruction met them (fetch, dispatch, issue, retire),
+    /// so they grow exactly as under the equivalent `record` calls.
+    #[inline]
+    pub(crate) fn record_instruction(&mut self, a: &InstructionActivity) {
+        self.record(Structure::Ifu, a.fetch, a.fetched);
+        self.record(Structure::Idu, a.dispatch, a.dispatched);
+        self.record(a.unit, a.issue, 1);
+        self.record(Structure::Isu, a.issue, 1);
+        self.record_retire(a.retire, 1);
     }
 
     /// Finalises into an [`ActivityTrace`], truncating the (partial) last

@@ -57,9 +57,11 @@ impl Cache {
         // ramp-lint:allow(panic-reach) -- `set_idx` is masked by the set count
         let set = &mut self.sets[set_idx];
         if let Some(pos) = set.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.remove(pos);
-            set.insert(0, t);
+            // Move to MRU position (a hit on the MRU way is already there).
+            if pos > 0 {
+                let t = set.remove(pos);
+                set.insert(0, t);
+            }
             self.hits += 1;
             true
         } else {

@@ -37,7 +37,7 @@
 //! interval exactly as a run at that interval alone would
 //! ([`simulate_grouped`]).
 
-use crate::activity::{default_capacities, ActivityCollector, ActivityTrace};
+use crate::activity::{default_capacities, ActivityCollector, ActivityTrace, InstructionActivity};
 use crate::cache::{Cache, DataHierarchy, HitLevel};
 use crate::bpred::GsharePredictor;
 use crate::{MachineConfig, SimStats, Structure};
@@ -62,39 +62,46 @@ pub struct SimulationOutput {
     pub activity: ActivityTrace,
 }
 
-/// Ring buffer of timestamps used for window resources (ROB, rename
-/// registers, memory queue): entry `i mod cap` holds the retire time of the
-/// `i`-th allocation, so allocation `i` must wait for `ring[i - cap]`.
+/// A fixed ring of timestamps read and written at one wrap-around
+/// cursor. Each write replaces the value written `len` writes earlier,
+/// so the slot under the cursor always holds the oldest value (0 until
+/// the ring first wraps).
+///
+/// Window resources (ROB, rename registers, memory queue) write each
+/// holder's release time, so the oldest value is when the next
+/// allocation may proceed; the fetch buffer writes dispatch times.
 #[derive(Debug, Clone)]
-struct WindowResource {
-    retire_times: Vec<u64>,
-    allocated: u64,
+struct TimestampRing {
+    slots: Vec<u64>,
+    cursor: usize,
 }
 
-impl WindowResource {
-    fn new(capacity: u32) -> Self {
-        WindowResource {
-            retire_times: vec![0; capacity as usize],
-            allocated: 0,
+impl TimestampRing {
+    /// A ring of `len` slots; the machine configuration keeps `len > 0`.
+    fn new(len: u32) -> Self {
+        TimestampRing {
+            slots: vec![0; len as usize],
+            cursor: 0,
         }
     }
 
-    /// Earliest cycle at which the next allocation may proceed.
-    fn available_at(&self) -> u64 {
-        let cap = self.retire_times.len() as u64;
-        if self.allocated < cap {
-            0
-        } else {
-            self.retire_times[(self.allocated % cap) as usize] // ramp-lint:allow(panic-reach) -- register indices are below the architected register count
-        }
+    fn head(&mut self) -> &mut u64 {
+        // ramp-lint:allow(panic-reach) -- `cursor < slots.len()`: the ring is never empty and `replace_oldest` wraps the cursor at the length
+        &mut self.slots[self.cursor]
     }
 
-    /// Allocates a slot; `retire` is when the slot frees again.
-    fn allocate(&mut self, retire: u64) {
-        let cap = self.retire_times.len() as u64;
-        let idx = (self.allocated % cap) as usize;
-        self.retire_times[idx] = retire; // ramp-lint:allow(panic-reach) -- register and ring indices are bounded by the machine configuration
-        self.allocated += 1;
+    /// The value written `len` writes ago, or 0 before the ring wraps.
+    fn oldest(&mut self) -> u64 {
+        *self.head()
+    }
+
+    /// Overwrites the oldest value and moves the cursor past it.
+    fn replace_oldest(&mut self, value: u64) {
+        *self.head() = value;
+        self.cursor += 1;
+        if self.cursor == self.slots.len() {
+            self.cursor = 0;
+        }
     }
 }
 
@@ -110,7 +117,7 @@ impl WindowResource {
 struct UnitPool {
     units: u8,
     counts: Vec<u8>,
-    /// Cycles below `floor` are in the past; `counts[(c - floor) % len]`
+    /// Cycles below `floor` are in the past; `counts[c % len]`
     /// holds cycle `c`'s usage for `c ∈ [floor, floor + len)`.
     floor: u64,
 }
@@ -138,10 +145,14 @@ impl UnitPool {
         if new_floor <= self.floor {
             return;
         }
-        let delta = (new_floor - self.floor).min(POOL_WINDOW as u64);
-        for i in 0..delta {
-            let idx = self.slot(self.floor + i);
-            self.counts[idx] = 0; // ramp-lint:allow(panic-reach) -- register and ring indices are bounded by the machine configuration
+        // The expired cycles fill `expired` ring slots from `start`,
+        // wrapping past the end of the ring at most once.
+        let expired = (new_floor - self.floor).min(POOL_WINDOW as u64) as usize;
+        let start = self.slot(self.floor);
+        let before_wrap = expired.min(POOL_WINDOW - start);
+        for range in [start..start + before_wrap, 0..expired - before_wrap] {
+            // ramp-lint:allow(panic-reach) -- both ranges lie in the ring: `start + before_wrap <= POOL_WINDOW`, and the wrapped part ends by `start` as `expired <= POOL_WINDOW`
+            self.counts[range].fill(0);
         }
         self.floor = new_floor;
     }
@@ -218,10 +229,11 @@ pub struct Engine {
     extra_collectors: Vec<ActivityCollector>,
 
     reg_ready: [u64; ramp_trace::TOTAL_REGS as usize],
-    rob: WindowResource,
-    int_rename: WindowResource,
-    fp_rename: WindowResource,
-    mem_queue: WindowResource,
+    /// Release times of the window resources' holders.
+    rob: TimestampRing,
+    int_rename: TimestampRing,
+    fp_rename: TimestampRing,
+    mem_queue: TimestampRing,
 
     int_units: UnitPool,
     fp_units: UnitPool,
@@ -235,9 +247,8 @@ pub struct Engine {
     fetched_this_cycle: u32,
     last_fetch_line: u64,
     last_fetch_pc: Option<u64>,
-    /// Dispatch times of the last `fetch_buffer` instructions (ring).
-    dispatch_ring: Vec<u64>,
-    dispatch_count: u64,
+    /// Dispatch times of the last `fetch_buffer` instructions.
+    dispatch_ring: TimestampRing,
     dispatch_cycle: u64,
     dispatched_this_cycle: u32,
 
@@ -287,10 +298,10 @@ impl Engine {
                 .map(|&ic| ActivityCollector::new(ic, default_capacities(config)))
                 .collect(),
             reg_ready: [0; ramp_trace::TOTAL_REGS as usize],
-            rob: WindowResource::new(config.rob_entries),
-            int_rename: WindowResource::new(config.int_rename_regs()),
-            fp_rename: WindowResource::new(config.fp_rename_regs()),
-            mem_queue: WindowResource::new(config.mem_queue),
+            rob: TimestampRing::new(config.rob_entries),
+            int_rename: TimestampRing::new(config.int_rename_regs()),
+            fp_rename: TimestampRing::new(config.fp_rename_regs()),
+            mem_queue: TimestampRing::new(config.mem_queue),
             int_units: UnitPool::new(config.int_units),
             fp_units: UnitPool::new(config.fp_units),
             ls_units: UnitPool::new(config.ls_units),
@@ -302,8 +313,7 @@ impl Engine {
             fetched_this_cycle: 0,
             last_fetch_line: u64::MAX,
             last_fetch_pc: None,
-            dispatch_ring: vec![0; config.fetch_buffer as usize],
-            dispatch_count: 0,
+            dispatch_ring: TimestampRing::new(config.fetch_buffer),
             dispatch_cycle: 0,
             dispatched_this_cycle: 0,
             stats: SimStats::default(),
@@ -322,16 +332,11 @@ impl Engine {
     pub fn step(&mut self, rec: &TraceRecord) {
         // ---------------- Fetch ------------------------------------------
         // Backpressure: fetch may run at most `fetch_buffer` instructions
-        // ahead of dispatch.
-        let buffer_cap = self.dispatch_ring.len() as u64;
-        if self.dispatch_count >= buffer_cap {
-            let idx = (self.dispatch_count % buffer_cap) as usize;
-            // ramp-lint:allow(panic-reach) -- `idx` is taken modulo the ring length
-            let limit = self.dispatch_ring[idx];
-            if limit > self.fetch_cycle {
-                self.fetch_cycle = limit;
-                self.fetched_this_cycle = 0;
-            }
+        // ahead of dispatch (the ring reads 0, no limit, until it fills).
+        let limit = self.dispatch_ring.oldest();
+        if limit > self.fetch_cycle {
+            self.fetch_cycle = limit;
+            self.fetched_this_cycle = 0;
         }
         // I-cache probe on line crossings. A sequential crossing is covered
         // by the next-line prefetcher (a miss costs one bubble); a redirect
@@ -362,12 +367,11 @@ impl Engine {
         }
         let fetch_time = self.fetch_cycle;
         self.fetched_this_cycle += 1;
-        self.record(Structure::Ifu, fetch_time, 1);
 
         // ---------------- Dispatch ---------------------------------------
         let frontend_ready = fetch_time + u64::from(self.config.frontend_depth);
         let mut earliest_dispatch = frontend_ready;
-        let rob_ready = self.rob.available_at();
+        let rob_ready = self.rob.oldest();
         if rob_ready > earliest_dispatch {
             earliest_dispatch = rob_ready;
             self.stats.rob_stalls += 1;
@@ -384,9 +388,9 @@ impl Engine {
             .unwrap_or(false);
         if writes_int || writes_fp {
             let rename_ready = if writes_int {
-                self.int_rename.available_at()
+                self.int_rename.oldest()
             } else {
-                self.fp_rename.available_at()
+                self.fp_rename.oldest()
             };
             if rename_ready > earliest_dispatch {
                 earliest_dispatch = rename_ready;
@@ -394,7 +398,7 @@ impl Engine {
             }
         }
         if rec.op().is_memory() {
-            let memq_ready = self.mem_queue.available_at();
+            let memq_ready = self.mem_queue.oldest();
             if memq_ready > earliest_dispatch {
                 earliest_dispatch = memq_ready;
                 self.stats.memq_stalls += 1;
@@ -409,7 +413,6 @@ impl Engine {
         }
         let dispatch_time = self.dispatch_cycle;
         self.dispatched_this_cycle += 1;
-        self.record(Structure::Idu, dispatch_time, 1);
 
         // ---------------- Issue / execute --------------------------------
         // Dispatch is monotone and every later issue happens after its own
@@ -427,7 +430,9 @@ impl Engine {
             ready = ready.max(self.reg_ready[src as usize]); // ramp-lint:allow(panic-reach) -- register indices are below the architected register count
         }
 
-        let (issue, complete, exec_structure) = match rec.op() {
+        // Front-end work on the wrong path after a mispredict.
+        let mut wrong_path = 0;
+        let (issue, complete, unit) = match rec.op() {
             OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv => {
                 let latency = match rec.op() {
                     OpClass::IntAlu => self.config.int_alu_latency,
@@ -512,8 +517,7 @@ impl Engine {
                     let wrong =
                         (shadow * u64::from(self.config.fetch_width)).min(256);
                     self.stats.wrong_path_fetches += wrong;
-                    self.record(Structure::Ifu, fetch_time, wrong);
-                    self.record(Structure::Idu, dispatch_time, wrong / 2);
+                    wrong_path = wrong;
                     if redirect > self.fetch_cycle {
                         self.stats.redirect_stall_cycles += redirect - self.fetch_cycle;
                         self.fetch_cycle = redirect;
@@ -535,45 +539,39 @@ impl Engine {
             }
         };
 
-        self.record(exec_structure, issue, 1);
-        self.record(Structure::Isu, issue, 1);
-
         if let Some(dst) = rec.dest() {
             self.reg_ready[dst as usize] = complete; // ramp-lint:allow(panic-reach) -- register indices are below the architected register count
         }
 
         // ---------------- Retire -----------------------------------------
         let retire_time = self.retire.retire(complete);
-        self.rob.allocate(retire_time);
+        self.rob.replace_oldest(retire_time);
         if writes_int {
-            self.int_rename.allocate(retire_time);
+            self.int_rename.replace_oldest(retire_time);
         }
         if writes_fp {
-            self.fp_rename.allocate(retire_time);
+            self.fp_rename.replace_oldest(retire_time);
         }
         if rec.op().is_memory() {
-            self.mem_queue.allocate(retire_time);
+            self.mem_queue.replace_oldest(retire_time);
         }
-        let buffer_cap = self.dispatch_ring.len() as u64;
-        let idx = (self.dispatch_count % buffer_cap) as usize;
-        self.dispatch_ring[idx] = dispatch_time; // ramp-lint:allow(panic-reach) -- register indices are below the architected register count
-        self.dispatch_count += 1;
+        self.dispatch_ring.replace_oldest(dispatch_time);
 
-        self.collector.record_retire(retire_time, 1);
+        let activity = InstructionActivity {
+            fetch: fetch_time,
+            fetched: 1 + wrong_path,
+            dispatch: dispatch_time,
+            dispatched: 1 + wrong_path / 2,
+            issue,
+            unit,
+            retire: retire_time,
+        };
+        self.collector.record_instruction(&activity);
         for collector in &mut self.extra_collectors {
-            collector.record_retire(retire_time, 1);
+            collector.record_instruction(&activity);
         }
         self.stats.instructions += 1;
         self.last_retire_cycle = retire_time;
-    }
-
-    /// Records `count` work events on `structure` at `cycle` in every
-    /// collector.
-    fn record(&mut self, structure: Structure, cycle: u64, count: u64) {
-        self.collector.record(structure, cycle, count);
-        for collector in &mut self.extra_collectors {
-            collector.record(structure, cycle, count);
-        }
     }
 
     /// Finalises the run, returning statistics and the activity trace at

@@ -23,6 +23,12 @@ const REGION_GAP: u64 = 0x1000_0000;
 /// Instruction size in bytes (fixed-width PowerPC-like ISA).
 const INSN_BYTES: u64 = 4;
 
+/// Slots in the recent-writer ring: larger than the ROB so any realisable
+/// dependency distance exists, and a power of two so ring positions wrap
+/// with a mask.
+const WRITER_WINDOW: usize = 256;
+const _: () = assert!(WRITER_WINDOW.is_power_of_two());
+
 /// Ring buffer of recent destination registers, used to realise a sampled
 /// dependency distance as a concrete register name.
 #[derive(Debug, Clone)]
@@ -32,25 +38,25 @@ struct RecentWriters {
 }
 
 impl RecentWriters {
-    fn new(capacity: usize) -> Self {
+    fn new() -> Self {
         RecentWriters {
-            ring: vec![None; capacity],
+            ring: vec![None; WRITER_WINDOW],
             head: 0,
         }
     }
 
     fn push(&mut self, reg: Option<ArchReg>) {
         self.ring[self.head] = reg;
-        self.head = (self.head + 1) % self.ring.len();
+        self.head = (self.head + 1) & (WRITER_WINDOW - 1);
     }
 
     /// Register written `distance` instructions ago (1 = previous), walking
     /// forward until a writer is found.
     fn writer_at(&self, distance: u64) -> Option<ArchReg> {
-        let cap = self.ring.len() as u64;
+        let cap = WRITER_WINDOW as u64;
         let mut d = distance.clamp(1, cap);
         while d <= cap {
-            let idx = (self.head as u64 + cap - d) % cap;
+            let idx = (self.head as u64 + cap - d) & (cap - 1);
             if let Some(reg) = self.ring[idx as usize] {
                 return Some(reg);
             }
@@ -158,6 +164,8 @@ pub struct TraceGenerator {
     /// Sequential cursors per data region (hot, warm, cold).
     seq_cursor: [u64; 3],
     emitted: u64,
+    /// Records left before the next phase switch (0: switch now).
+    until_phase_switch: u64,
     /// Per-phase effective (dep distance, hot fraction, warm fraction).
     phase_params: Vec<(f64, f64, f64)>,
     current_phase: usize,
@@ -219,8 +227,7 @@ impl TraceGenerator {
             cumulative_mix: profile.mix.cumulative(),
             profile: profile.clone(),
             rng,
-            // Window larger than the ROB so any realisable distance exists.
-            writers: RecentWriters::new(256),
+            writers: RecentWriters::new(),
             next_int_dst: 0,
             next_fp_dst: 0,
             next_cr_dst: 0,
@@ -236,6 +243,7 @@ impl TraceGenerator {
             branch_sites: sites,
             seq_cursor: [0, 0, 0],
             emitted: 0,
+            until_phase_switch: profile.phases.dwell_instructions,
             phase_params: profile
                 .phases
                 .phases
@@ -322,7 +330,8 @@ impl TraceGenerator {
         let offset = if self.rng.chance(m.sequential_fraction) {
             // Stride walk with cache-line-friendly steps.
             let cur = self.seq_cursor[region];
-            self.seq_cursor[region] = (cur + 8) % bytes;
+            let next = cur + 8;
+            self.seq_cursor[region] = if next < bytes { next } else { next % bytes };
             cur
         } else {
             self.rng.below(bytes / 8) * 8
@@ -368,11 +377,13 @@ impl Iterator for TraceGenerator {
     type Item = TraceRecord;
 
     fn next(&mut self) -> Option<TraceRecord> {
-        // Phase switch on dwell boundaries.
-        let dwell = self.profile.phases.dwell_instructions;
-        if dwell != u64::MAX && self.emitted > 0 && self.emitted.is_multiple_of(dwell) {
+        // Phase switch after every `dwell_instructions` records. A steady
+        // program's `u64::MAX` dwell never runs out.
+        if self.until_phase_switch == 0 {
             self.current_phase = (self.current_phase + 1) % self.phase_params.len();
+            self.until_phase_switch = self.profile.phases.dwell_instructions;
         }
+        self.until_phase_switch -= 1;
         let op = self.pick_class();
         let rec = match op {
             OpClass::Branch => self.gen_branch(),
