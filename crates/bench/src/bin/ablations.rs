@@ -3,7 +3,9 @@
 //!
 //! 1. SOFR vs MIN-of-MTTF combination of failure mechanisms.
 //! 2. Running-average instantaneous FIT vs FIT at time-average conditions.
-//! 3. Worst-case vs expected-case qualification margin.
+//! 3. Worst-case vs expected-case qualification margin. This one runs
+//!    the full-length study (~20 s on 2 vCPUs); the others take under a
+//!    second together.
 //! 4. Two-pass heat-sink initialisation vs cold-start transients.
 //! 5. Thermal integration time-step sensitivity.
 //!
@@ -116,7 +118,7 @@ fn averaging_vs_mean_conditions() {
 /// reliability budget does the average application actually use?
 fn qualification_margin() {
     println!("=== ablation 3: worst-case vs expected-case qualification ===");
-    let results = ramp_bench::load_or_run_study();
+    let results = ramp_bench::run_full_study().expect("full study should run");
     for node in [NodeId::N180, NodeId::N65HighV] {
         let wc = results
             .worst_case(node)

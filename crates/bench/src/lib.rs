@@ -1,35 +1,29 @@
 //! Experiment harness for regenerating every table and figure of the
 //! paper's evaluation.
 //!
-//! The full 16-benchmark × 5-node study takes a few minutes on one core;
-//! since every table/figure binary consumes the same [`StudyResults`], the
-//! harness runs the study once and caches the serialized results under
-//! `target/`. Delete the cache (or pass `--fresh` to any binary) to force
-//! a re-run.
+//! One binary, `report`, prints the evaluation, one [`report::Section`]
+//! each for the headline claims, Tables 1–4 and Figures 2–5, from one
+//! in-process run of the 16-benchmark × 5-node study (~20 s on 2 vCPUs);
+//! `table1` and `table2` alone run none. The paper's values it compares
+//! against are [`claims::PAPER_CLAIMS`].
 //!
-//! Binaries (one per table/figure of the paper):
+//! ```text
+//! cargo run --release -p ramp-bench --bin report -- [--plot] [--csv DIR] [SECTION...]
+//! ```
 //!
-//! | binary | reproduces |
-//! |---|---|
-//! | `table1` | Table 1 — numeric sensitivity of each mechanism |
-//! | `table2` | Table 2 — base machine configuration |
-//! | `table3` | Table 3 — per-benchmark IPC and average power at 180 nm |
-//! | `table4` | Table 4 — scaled parameters incl. measured power |
-//! | `fig2`   | Figure 2 — max structure temperature per app per node |
-//! | `fig3`   | Figure 3 — total FIT per app per node + worst case |
-//! | `fig4`   | Figure 4 — suite-average FIT with mechanism breakdown |
-//! | `fig5`   | Figure 5 — per-mechanism FIT per app per node + worst case |
-//! | `study`  | headline summary against every paper claim |
-//! | `ablations` | design-choice ablations (DESIGN.md §6) |
-//! | `calibrate` | refit the workload-profile knobs |
+//! The other binaries: `ablations` (design-choice ablations, DESIGN.md
+//! §6), `sensitivity`, `calibrate` (refit the workload-profile knobs),
+//! `trace`, `benchgate`/`benchtrend`, `fleet` and `serve_load`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod claims;
 pub mod plot;
+pub mod report;
 pub mod telemetry;
 
-use ramp_core::{run_study, RunManifest, StudyConfig, StudyResults};
+use ramp_core::{run_study, RampError, RunManifest, StudyConfig, StudyResults};
 use std::path::PathBuf;
 
 /// Initialises `ramp-obs` from the environment: a stderr sink gated by
@@ -45,117 +39,43 @@ fn target_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target"))
 }
 
-/// Location of the cached study results, relative to the workspace root.
-#[must_use]
-pub fn cache_path() -> PathBuf {
-    target_dir().join("ramp-study-cache.json")
-}
-
-/// Location of the run manifest written next to a freshly-run study.
-#[must_use]
-pub fn manifest_path() -> PathBuf {
-    target_dir().join("ramp-run-manifest.json")
-}
-
-/// Captures and writes the run manifest for a study that just executed,
-/// returning it. Failures to write are logged, not fatal: the manifest is
-/// diagnostics, never an input.
-pub fn write_manifest(config: &StudyConfig, results: &StudyResults) -> RunManifest {
-    let manifest = RunManifest::capture(config, results);
-    let path = manifest_path();
-    match manifest.write_json(&path) {
+/// Writes the run manifest of a study that just ran to
+/// `target/ramp-run-manifest.json`. A failure is logged, not fatal: the
+/// manifest is diagnostics, never an input.
+fn write_manifest(config: &StudyConfig, results: &StudyResults) {
+    let path = target_dir().join("ramp-run-manifest.json");
+    match RunManifest::capture(config, results).write_json(&path) {
         Ok(()) => ramp_obs::debug!("manifest written to {}", path.display()),
         Err(e) => ramp_obs::warn!("could not write manifest: {e}"),
     }
-    manifest
 }
 
-/// Loads the cached full-study results, running the study (and writing the
-/// cache) if absent or if `--fresh` was passed on the command line.
+/// Runs the full-length study (16 benchmarks × 5 nodes, ~20 s on 2
+/// vCPUs), logs its execution metrics, writes the run manifest and
+/// flushes the trace and event sinks.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the study itself fails — the experiment binaries have no
-/// useful way to continue without results.
-#[must_use]
-pub fn load_or_run_study() -> StudyResults {
-    init_obs();
-    let fresh = std::env::args().any(|a| a == "--fresh");
-    let path = cache_path();
-    if !fresh {
-        if let Ok(bytes) = std::fs::read(&path) {
-            match serde_json::from_slice::<StudyResults>(&bytes) {
-                Ok(results) => {
-                    ramp_obs::info!("loaded cached study from {}", path.display());
-                    return results;
-                }
-                Err(e) => {
-                    ramp_obs::warn!("cache unreadable ({e}); re-running study");
-                }
-            }
-        }
-    }
+/// Whatever [`run_study`] returns.
+pub fn run_full_study() -> Result<StudyResults, RampError> {
     let config = StudyConfig::default();
     ramp_obs::info!(
         "running full study (16 benchmarks x 5 nodes, {} threads)...",
         config.threads
     );
-    let results = run_study(&config).expect("full study should run");
+    let results = run_study(&config)?;
     print_study_metrics(&results);
     write_manifest(&config, &results);
-    match serde_json::to_vec(&results) {
-        Ok(bytes) => {
-            if let Err(e) = std::fs::write(&path, bytes) {
-                ramp_obs::warn!("could not write cache {}: {e}", path.display());
-            }
-        }
-        Err(e) => ramp_obs::warn!("could not serialise results: {e}"),
-    }
     // Make the study's spans durable: rewrites the RAMP_TRACE Chrome
     // trace file (when configured) and flushes buffered sinks.
     ramp_obs::flush();
-    results
+    Ok(results)
 }
 
 /// Prints the study's execution metrics (per-stage wall clock, throughput,
 /// timing-cache effectiveness) to stderr.
-///
-/// Metrics exist only for results produced by [`run_study`] in this
-/// process; results deserialized from the cache file carry none (the
-/// metrics are deliberately kept out of the serialized form so the output
-/// bytes are independent of thread count), and for those this prints a
-/// one-line note instead.
 pub fn print_study_metrics(results: &StudyResults) {
-    let metrics = results.metrics();
-    if metrics.runs == 0 {
-        ramp_obs::info!("no execution metrics (results loaded from cache, not run)");
-        return;
-    }
-    for line in metrics.report().lines() {
+    for line in results.metrics().report().lines() {
         ramp_obs::info!("{line}");
-    }
-}
-
-/// Formats a FIT value the way the paper's figures label their axes.
-#[must_use]
-pub fn fit_cell(fit: ramp_units::Fit) -> String {
-    format!("{:>7.0}", fit.value())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cache_path_is_under_target() {
-        let p = cache_path();
-        assert!(p.to_string_lossy().contains("target"));
-        assert!(p.extension().is_some());
-    }
-
-    #[test]
-    fn fit_cell_is_fixed_width() {
-        let f = ramp_units::Fit::new(1234.56).unwrap();
-        assert_eq!(fit_cell(f).len(), 7);
     }
 }

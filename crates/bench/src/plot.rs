@@ -1,9 +1,9 @@
-//! Minimal ASCII line-chart renderer for the figure binaries.
+//! Minimal ASCII line-chart renderer for the report's figures.
 //!
 //! The paper's figures are line charts of per-application series across
-//! the five technology points; `--plot` on the figure binaries renders the
-//! same curves directly in the terminal so trends are visible without
-//! exporting CSV to an external plotter.
+//! the five technology points; `report --plot` renders the same curves
+//! directly in the terminal so trends are visible without exporting CSV
+//! to an external plotter.
 
 /// One named data series.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,12 +102,6 @@ pub fn render(x_labels: &[&str], series: &[Series], height: usize) -> String {
         out.push_str(&format!("{:>11}{} = {}\n", "", marker, s.label));
     }
     out
-}
-
-/// Whether `--plot` was passed on the command line.
-#[must_use]
-pub fn plot_requested() -> bool {
-    std::env::args().any(|a| a == "--plot")
 }
 
 #[cfg(test)]

@@ -18,6 +18,9 @@ pub enum RampError {
     Io(String),
     /// A value could not be serialized for export.
     Serialize(String),
+    /// Study results lack a value that a report or check asked for
+    /// (an (app, node) run, a node's worst case).
+    MissingResult(String),
 }
 
 impl fmt::Display for RampError {
@@ -33,6 +36,7 @@ impl fmt::Display for RampError {
             RampError::Qualification(msg) => write!(f, "qualification failed: {msg}"),
             RampError::Io(msg) => write!(f, "I/O error: {msg}"),
             RampError::Serialize(msg) => write!(f, "serialization error: {msg}"),
+            RampError::MissingResult(what) => write!(f, "study results have no {what}"),
         }
     }
 }

@@ -57,21 +57,36 @@ impl Cache {
         // ramp-lint:allow(panic-reach) -- `set_idx` is masked by the set count
         let set = &mut self.sets[set_idx];
         if let Some(pos) = set.iter().position(|&t| t == tag) {
-            // Move to MRU position (a hit on the MRU way is already there).
-            if pos > 0 {
-                let t = set.remove(pos);
-                set.insert(0, t);
+            // Rotate the ways up to the hit one round, so it lands at MRU
+            // and the more recent ones each move down a way.
+            if let Some(ways) = set.get_mut(..=pos) {
+                ways.rotate_right(1);
             }
             self.hits += 1;
             true
         } else {
-            if set.len() == self.ways {
-                set.pop();
+            if set.len() < self.ways {
+                // Cold fill, at most `ways` per set: the set was reserved
+                // at `ways`, so this shifts but never reallocates.
+                set.insert(0, tag);
+            } else if let Some(lru) = set.last_mut() {
+                // Overwrite the LRU way and rotate it round to MRU.
+                *lru = tag;
+                set.rotate_right(1);
             }
-            set.insert(0, tag);
             self.misses += 1;
             false
         }
+    }
+
+    /// Tags resident in the set that `addr` maps to, most recently used
+    /// first.
+    #[must_use]
+    pub fn resident_tags(&self, addr: u64) -> &[u64] {
+        let line = addr >> self.line_shift;
+        self.sets
+            .get((line & self.set_mask) as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Total hits since construction.

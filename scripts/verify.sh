@@ -64,11 +64,13 @@ for threads in 1 4; do
 done
 
 echo "== paper headlines: the full-length study against the paper's bands =="
-# tests/paper_headlines.rs runs the production-length 16x5 study and
-# asserts the headline numbers (FIT growth band, mechanism ordering,
-# temperature rise, constant sink, 180 nm margin). It is #[ignore]d, so
-# the debug tier-1 `cargo test -q` skips it; here it runs in release.
-cargo test --release --locked --test paper_headlines -- --ignored
+# crates/bench/tests/paper_headlines.rs runs the production-length 16x5
+# study once, asserts every band of the paper-claims table
+# (crates/bench/src/claims.rs) and compares every generated
+# <!-- report:NAME --> block of EXPERIMENTS.md with a fresh render. It is
+# #[ignore]d, so the debug tier-1 `cargo test -q` skips it; here it runs
+# in release.
+cargo test --release --locked -p ramp-bench --test paper_headlines -- --ignored
 
 echo "== obs + trace smoke: JSONL events, manifest, trace export, critical path =="
 # Runs a traced quick study with debug logging, then validates the Chrome
