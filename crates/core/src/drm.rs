@@ -17,7 +17,7 @@
 //! outcome and the performance cost. Its unmanaged baseline is the
 //! engine's anchored run ([`QueryEngine::run_anchored`]).
 
-use crate::pipeline::{power_model, LevelPolicy};
+use crate::pipeline::{power_model, run_app_filling_intervals, LevelPolicy};
 use crate::rates::RateAccumulator;
 use crate::{OperatingPoint, Qualification, QueryEngine, RampError, TechNode};
 use ramp_microarch::PerStructure;
@@ -282,9 +282,10 @@ impl LevelPolicy for ManagedLevels {
 /// [`DrmPolicy::decision_intervals`]; the first pass runs at the nominal
 /// level. The timing pass comes from the timing cache: a workload's
 /// activity per cycle is frequency-independent for the fixed pipeline.
-/// The unmanaged baseline is [`QueryEngine::run_anchored`], so
-/// `unmanaged_fit` is exactly what [`QueryEngine::evaluate`] answers for
-/// the same workload and node.
+/// The unmanaged baseline is the run [`QueryEngine::run_anchored`] makes,
+/// so `unmanaged_fit` is exactly what [`QueryEngine::evaluate`] answers
+/// for the same workload and node. Both runs share one constant-sink
+/// anchor, from one 180 nm reference run that computes only its power.
 ///
 /// # Errors
 ///
@@ -322,7 +323,9 @@ pub fn run_with_drm(
     let controller = DrmController::new(policy, ladder).map_err(RampError::InvalidConfiguration)?;
     let cfg = engine.base_pipeline();
     let qualification = engine.qualification();
-    let (managed, levels) = engine.run_anchored_under(profile, node, cfg, |_nominal| {
+    // One power-only 180 nm reference run anchors both runs.
+    let anchor = engine.reference_power(profile, node, cfg)?;
+    let managed_levels = |_nominal| {
         let powers = controller
             .levels
             .iter()
@@ -339,8 +342,10 @@ pub fn run_with_drm(
             intervals: 0,
             performance_sum: 0.0,
         })
-    })?;
-    let unmanaged = engine.run_anchored(profile, node)?;
+    };
+    let (managed, levels) =
+        run_app_filling_intervals(profile, node, cfg, &engine.models, anchor, &[], managed_levels)?;
+    let unmanaged = engine.run(profile, node, cfg, anchor, &[])?;
     let intervals = levels.intervals as f64;
     Ok(DrmOutcome {
         managed_fit: qualification.fit_report(&managed.rates).total(),

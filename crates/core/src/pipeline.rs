@@ -273,6 +273,94 @@ impl LevelPolicy for (PowerModel, Volts) {
     }
 }
 
+/// What the second pass does with an interval besides the power sample
+/// and thermal step every run takes. The interval loop is generic over
+/// it, so a run that prices nothing ([`Unpriced`]) is compiled without
+/// the pricing, not branched around it.
+trait IntervalObserver {
+    /// What the observer hands back once the last interval is observed.
+    type Output;
+    /// The power model and supply voltage of the next interval.
+    fn level(&self) -> (&PowerModel, Volts);
+    /// Observes interval `index` (counted across trace repeats): its
+    /// supply, its activity, and the structure temperatures its thermal
+    /// step reached.
+    fn observe(
+        &mut self,
+        index: u64,
+        vdd: Volts,
+        factors: &PerStructure<ActivityFactor>,
+        temps: &PerStructure<Kelvin>,
+    );
+    /// Ends the second pass.
+    fn finish(self) -> Self::Output;
+}
+
+/// A priced run's observer: each interval's operating points go to the
+/// rate accumulator and the level policy, and every `stride`-th
+/// interval's temperatures to the thermal trace when one is recorded.
+struct Priced<P> {
+    policy: P,
+    rates: RateAccumulator,
+    thermal_trace: Option<Vec<PerStructure<Kelvin>>>,
+    stride: u64,
+}
+
+impl<P: LevelPolicy> IntervalObserver for Priced<P> {
+    type Output = (AveragedRates, Option<Vec<PerStructure<Kelvin>>>, P);
+
+    fn level(&self) -> (&PowerModel, Volts) {
+        self.policy.level()
+    }
+
+    fn observe(
+        &mut self,
+        index: u64,
+        vdd: Volts,
+        factors: &PerStructure<ActivityFactor>,
+        temps: &PerStructure<Kelvin>,
+    ) {
+        let ops = PerStructure::from_fn(|s| {
+            // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
+            OperatingPoint::new(temps[s], vdd, factors[s])
+        });
+        self.rates.observe(&ops, 1.0);
+        self.policy.observe(&ops);
+        if let Some(trace) = self.thermal_trace.as_mut() {
+            if index.is_multiple_of(self.stride) {
+                trace.push(*temps);
+            }
+        }
+    }
+
+    fn finish(self) -> Self::Output {
+        (self.rates.finish(), self.thermal_trace, self.policy)
+    }
+}
+
+/// A power-only run's observer: the node's nominal level in every
+/// interval, and nothing observed.
+struct Unpriced(PowerModel, Volts);
+
+impl IntervalObserver for Unpriced {
+    type Output = ();
+
+    fn level(&self) -> (&PowerModel, Volts) {
+        (&self.0, self.1)
+    }
+
+    fn observe(
+        &mut self,
+        _index: u64,
+        _vdd: Volts,
+        _factors: &PerStructure<ActivityFactor>,
+        _temps: &PerStructure<Kelvin>,
+    ) {
+    }
+
+    fn finish(self) {}
+}
+
 /// First pass: power ↔ steady-state-temperature fixed point. Returns the
 /// initial thermal state and the converged average power sample.
 fn first_pass(
@@ -360,6 +448,74 @@ pub(crate) fn run_app_filling_intervals<P: LevelPolicy>(
     extra_intervals: &[u64],
     levels: impl FnOnce(PowerModel) -> Result<P, RampError>,
 ) -> Result<(AppNodeRun, P), RampError> {
+    let stride = u64::from(cfg.thermal_trace_stride);
+    let priced = |power, intervals: usize| {
+        Ok(Priced {
+            policy: levels(power)?,
+            rates: RateAccumulator::new(models, *node),
+            thermal_trace: cfg
+                .record_thermal_trace
+                .then(|| Vec::with_capacity(intervals.div_ceil(stride as usize))),
+            stride,
+        })
+    };
+    let (stages, (rates, thermal_trace, policy)) =
+        run_stages(profile, node, cfg, reference_power, extra_intervals, priced)?;
+    let run = AppNodeRun {
+        app: profile.name.clone(),
+        node: *node,
+        ipc: stages.ipc,
+        avg_dynamic: stages.avg_dynamic,
+        avg_leakage: stages.avg_leakage,
+        sink_temperature: stages.sink_temperature,
+        rates,
+        avg_activity: stages.avg_activity,
+        peak_activity: stages.peak_activity,
+        thermal_trace,
+        timings: stages.timings,
+    };
+    Ok((run, policy))
+}
+
+/// The average total power [`run_app_on_node`] reports for `profile` at
+/// `node` without a reference power, bit for bit, from a run that prices
+/// nothing: the same timing lookup, first pass, power samples and thermal
+/// steps in the same order, but no operating points, rate accumulation,
+/// level policy or thermal trace. The constant-sink rule needs only this
+/// of a scaled run's 180 nm reference run.
+pub(crate) fn average_power(
+    profile: &BenchmarkProfile,
+    node: &TechNode,
+    cfg: &PipelineConfig,
+) -> Result<Watts, RampError> {
+    let nominal = |power, _intervals| Ok(Unpriced(power, node.vdd));
+    run_stages(profile, node, cfg, None, &[], nominal)
+        .map(|(stages, ())| stages.avg_dynamic + stages.avg_leakage)
+}
+
+/// What every run measures, priced or not.
+struct Stages {
+    ipc: f64,
+    avg_dynamic: Watts,
+    avg_leakage: Watts,
+    sink_temperature: Kelvin,
+    avg_activity: PerStructure<ActivityFactor>,
+    peak_activity: PerStructure<ActivityFactor>,
+    timings: StageTimings,
+}
+
+/// The three stages of one run. The second pass takes each interval's
+/// level from, and hands what the interval produced to, the observer
+/// `observer` builds from the node's nominal power model (the first
+/// pass's) and the number of intervals the pass will walk.
+fn run_stages<O: IntervalObserver>(
+    profile: &BenchmarkProfile,
+    node: &TechNode,
+    cfg: &PipelineConfig,
+    reference_power: Option<Watts>,
+    extra_intervals: &[u64],
+    observer: impl FnOnce(PowerModel, usize) -> Result<O, RampError>,
+) -> Result<(Stages, O::Output), RampError> {
     cfg.validate()?;
     profile
         .validate()
@@ -422,19 +578,14 @@ pub(crate) fn run_app_filling_intervals<P: LevelPolicy>(
     )?;
     let first_pass_elapsed = first_pass_span.finish();
 
-    // ---- Second pass: transient + RAMP accumulation ----------------------
+    // ---- Second pass: transient + the observer's per-interval work -------
     let second_pass_span = ramp_obs::span!("second_pass");
-    let mut policy = levels(power)?;
+    let mut observer = observer(power, activity.intervals().len() * cfg.trace_repeats as usize)?;
     let mut state = initial;
-    let mut acc = RateAccumulator::new(models, *node);
     let mut dyn_sum = 0.0;
     let mut leak_sum = 0.0;
     let mut samples = 0u64;
-    let stride = cfg.thermal_trace_stride as u64;
-    let mut thermal_trace: Option<Vec<PerStructure<Kelvin>>> = cfg.record_thermal_trace.then(|| {
-        let total = activity.intervals().len() * cfg.trace_repeats as usize;
-        Vec::with_capacity(total.div_ceil(stride.max(1) as usize))
-    });
+    let stride = u64::from(cfg.thermal_trace_stride);
     let trace_events = ramp_obs::enabled(ramp_obs::Level::Trace, "ramp_core::pipeline::thermal");
     // Time compression: each 1 µs sampling interval advances the thermal
     // state by `time_compression` µs, split into explicitly stable
@@ -446,35 +597,25 @@ pub(crate) fn run_app_filling_intervals<P: LevelPolicy>(
         .expect("positive sub-step duration"); // ramp-lint:allow(panic-hygiene) -- substeps >= 1 keeps dt positive
     for _ in 0..cfg.trace_repeats {
         for interval in activity.intervals() {
-            let (power, vdd) = policy.level();
+            let (power, vdd) = observer.level();
             let sample = power.sample(&interval.factors, &state.structures);
             state = sim.step_many(&state, &sample.per_structure_total(), dt, substeps);
-            let ops = PerStructure::from_fn(|s| {
-                // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-                OperatingPoint::new(state.structures[s], vdd, interval.factors[s])
-            });
-            acc.observe(&ops, 1.0);
-            policy.observe(&ops);
-            if samples.is_multiple_of(stride) {
-                if let Some(trace) = thermal_trace.as_mut() {
-                    trace.push(state.structures);
-                }
-                if trace_events {
-                    let (hot, hot_temp) = state.hottest();
-                    ramp_obs::trace!(
-                        target: "ramp_core::pipeline::thermal",
-                        "interval={samples} hottest={hot} t_hot={:.3}K sink={:.3}K",
-                        hot_temp.value(),
-                        state.sink.value()
-                    );
-                }
+            observer.observe(samples, vdd, &interval.factors, &state.structures);
+            if trace_events && samples.is_multiple_of(stride) {
+                let (hot, hot_temp) = state.hottest();
+                ramp_obs::trace!(
+                    target: "ramp_core::pipeline::thermal",
+                    "interval={samples} hottest={hot} t_hot={:.3}K sink={:.3}K",
+                    hot_temp.value(),
+                    state.sink.value()
+                );
             }
             dyn_sum += sample.dynamic_total().value();
             leak_sum += sample.leakage_total().value();
             samples += 1;
         }
     }
-    let rates = acc.finish();
+    let observed = observer.finish();
     let second_pass_elapsed = second_pass_span.finish();
     let timings = StageTimings {
         timing: timing_elapsed,
@@ -491,22 +632,18 @@ pub(crate) fn run_app_filling_intervals<P: LevelPolicy>(
     ));
     drop(run_span);
 
-    let run = AppNodeRun {
-        app: profile.name.clone(),
-        node: *node,
+    let stages = Stages {
         ipc: out.stats.ipc(),
         avg_dynamic: Watts::new(dyn_sum / samples as f64)
             .expect("mean of valid powers is valid"), // ramp-lint:allow(panic-hygiene) -- mean of valid powers is valid
         avg_leakage: Watts::new(leak_sum / samples as f64)
             .expect("mean of valid powers is valid"), // ramp-lint:allow(panic-hygiene) -- mean of valid powers is valid
         sink_temperature: state.sink,
-        rates,
         avg_activity,
         peak_activity,
-        thermal_trace,
         timings,
     };
-    Ok((run, policy))
+    Ok((stages, observed))
 }
 
 #[cfg(test)]

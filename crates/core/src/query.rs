@@ -24,13 +24,12 @@
 use crate::manifest::{config_digest, fnv1a_hex};
 use crate::mechanisms::{MechanismKind, MechanismSet, PerMechanism};
 use crate::pipeline::{
-    interval_cycles, run_app_filling_intervals, AppNodeRun, LevelPolicy, PipelineConfig,
+    average_power, interval_cycles, run_app_filling_intervals, AppNodeRun, PipelineConfig,
 };
 use crate::qualification::FitReport;
 use crate::rates::AveragedRates;
 use crate::study::StudyConfig;
 use crate::{Executor, NodeId, Qualification, RampError, TechNode, FIT_PER_MECHANISM};
-use ramp_power::PowerModel;
 use ramp_trace::{spec, BenchmarkProfile};
 use ramp_units::{Fit, Kelvin, Mttf, Watts, Years};
 use serde::{Deserialize, Serialize};
@@ -293,7 +292,10 @@ impl QueryEngine {
     /// Scaled (non-180 nm) nodes are evaluated under the paper's
     /// constant-sink-temperature rule, anchored to the same workload's
     /// 180 nm power — computed here as part of the query so the answer
-    /// never depends on what else the server happens to have run.
+    /// never depends on what else the server happens to have run. That
+    /// 180 nm reference run computes only its average power: it steps the
+    /// same power samples and thermal states as a full run, so the anchor
+    /// is the full run's bit for bit, but prices no failure rates.
     ///
     /// # Errors
     ///
@@ -352,9 +354,7 @@ impl QueryEngine {
     fn run_query(&self, query: &ReliabilityQuery) -> Result<AppNodeRun, RampError> {
         let profile = spec::profile(&query.benchmark)?;
         let node = TechNode::get(query.node);
-        let nominal = |power| Ok((power, node.vdd));
-        self.run_anchored_under(&profile, &node, &query.pipeline, nominal)
-            .map(|(run, _)| run)
+        self.run_anchored_under(&profile, &node, &query.pipeline)
     }
 
     /// One pipeline run of `profile` at `node` under the study recipe and
@@ -374,28 +374,40 @@ impl QueryEngine {
         profile: &BenchmarkProfile,
         node: &TechNode,
     ) -> Result<AppNodeRun, RampError> {
-        let nominal = |power| Ok((power, node.vdd));
-        self.run_anchored_under(profile, node, &self.base, nominal)
-            .map(|(run, _)| run)
+        self.run_anchored_under(profile, node, &self.base)
     }
 
-    /// The anchored run under `pipeline`, whose second pass takes each
-    /// interval's DVS level from the policy `levels` builds; see
-    /// [`run_app_filling_intervals`].
-    pub(crate) fn run_anchored_under<P: LevelPolicy>(
+    /// The anchored run under `pipeline`: the run at `node` with the
+    /// constant-sink anchor [`QueryEngine::reference_power`] gives it. Of
+    /// the two runs only this one is priced; the 180 nm reference run
+    /// computes its average power and nothing else.
+    fn run_anchored_under(
         &self,
         profile: &BenchmarkProfile,
         node: &TechNode,
         pipeline: &PipelineConfig,
-        levels: impl FnOnce(PowerModel) -> Result<P, RampError>,
-    ) -> Result<(AppNodeRun, P), RampError> {
-        let anchor = if node.id == NodeId::N180 {
-            None
-        } else {
-            let reference = self.run(profile, &TechNode::reference(), pipeline, None, &[])?;
-            Some(reference.avg_total())
-        };
-        run_app_filling_intervals(profile, node, pipeline, &self.models, anchor, &[], levels)
+    ) -> Result<AppNodeRun, RampError> {
+        let anchor = self.reference_power(profile, node, pipeline)?;
+        self.run(profile, node, pipeline, anchor, &[])
+    }
+
+    /// The constant-sink anchor of a run of `profile` at `node` under
+    /// `pipeline`: `None` at 180 nm, and otherwise the same workload's
+    /// 180 nm average power under the same pipeline. That reference run
+    /// prices nothing ([`average_power`]): it takes the same timing
+    /// lookup, first pass, power samples and thermal steps as a full
+    /// 180 nm run, so its power is the full run's bit for bit, but builds
+    /// no operating points and accumulates no rates.
+    pub(crate) fn reference_power(
+        &self,
+        profile: &BenchmarkProfile,
+        node: &TechNode,
+        pipeline: &PipelineConfig,
+    ) -> Result<Option<Watts>, RampError> {
+        if node.id == NodeId::N180 {
+            return Ok(None);
+        }
+        average_power(profile, &TechNode::reference(), pipeline).map(Some)
     }
 
     /// One pipeline run of `profile` at `node` with this engine's models.

@@ -17,13 +17,22 @@ cargo build --release --workspace --locked
 echo "== tier 1: tests (locked) =="
 cargo test --release --workspace --locked -q
 
-echo "== examples: every example runs to completion =="
+echo "== examples: every example runs and prints its recorded stdout =="
 # The test run builds the examples but runs none of them; a change that
-# breaks one at run time fails here (a non-zero exit stops the script).
+# breaks one at run time fails here (a non-zero exit stops the script),
+# and a change that moves a printed number fails the diff against
+# examples/expected/NAME.stdout. After a deliberate change, re-record
+# with `cargo run --release --example NAME > examples/expected/NAME.stdout`.
+# trace_files has no recording: it prints the host's temp-dir path.
 for example in examples/*.rs; do
     name="$(basename "${example}" .rs)"
     echo "-- ${name}"
-    cargo run --release --locked --quiet --example "${name}" > /dev/null
+    if [ "${name}" = trace_files ]; then
+        cargo run --release --locked --quiet --example "${name}" > /dev/null
+    else
+        cargo run --release --locked --quiet --example "${name}" \
+            | diff -u "examples/expected/${name}.stdout" -
+    fi
 done
 
 echo "== static analysis: ramp-lint (workspace invariants) =="
