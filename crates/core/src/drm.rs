@@ -17,13 +17,14 @@
 //! outcome and the performance cost. Its unmanaged baseline is the
 //! engine's anchored run ([`QueryEngine::run_anchored`]).
 
+use crate::mechanisms::{IntervalRates, ThermalCycling};
 use crate::pipeline::{power_model, run_app_filling_intervals, LevelPolicy};
-use crate::rates::RateAccumulator;
-use crate::{OperatingPoint, Qualification, QueryEngine, RampError, TechNode};
+use crate::rates::AveragedRates;
+use crate::{Qualification, QueryEngine, RampError, TechNode};
 use ramp_microarch::PerStructure;
 use ramp_power::PowerModel;
 use ramp_trace::BenchmarkProfile;
-use ramp_units::{Fit, Gigahertz, Volts};
+use ramp_units::{Fit, Gigahertz, Kelvin, Volts};
 use serde::{Deserialize, Serialize};
 
 /// One dynamic voltage/frequency operating level.
@@ -234,15 +235,15 @@ impl DrmOutcome {
 
 /// The DRM controller as the second pass's per-interval level policy: it
 /// hands the pipeline the current level's power model and supply, and
-/// feeds each interval's instantaneous FIT into the controller's running
-/// average.
+/// feeds each interval's instantaneous FIT, from the rates the pipeline
+/// priced for it, into the controller's running average.
 struct ManagedLevels {
     controller: DrmController,
     /// One power model per ladder level, in ladder order.
     powers: Vec<PowerModel>,
-    /// An accumulator with nothing observed, prepared for the node once
-    /// per run; each interval prices its rates on a copy.
-    empty: RateAccumulator,
+    /// Thermal cycling prepared for the node: the one mechanism the
+    /// pipeline does not price per interval.
+    tc: ThermalCycling,
     node: TechNode,
     qualification: Qualification,
     fit_sum: f64,
@@ -257,10 +258,9 @@ impl LevelPolicy for ManagedLevels {
         (power, self.controller.level().voltage)
     }
 
-    fn observe(&mut self, ops: &PerStructure<OperatingPoint>) {
-        let mut instantaneous = self.empty.clone();
-        instantaneous.observe(ops, 1.0);
-        let report = self.qualification.fit_report(&instantaneous.finish());
+    fn observe(&mut self, rates: &IntervalRates, temperature: &PerStructure<Kelvin>) {
+        let instantaneous = AveragedRates::instantaneous(rates, temperature, &self.tc);
+        let report = self.qualification.fit_report(&instantaneous);
         self.fit_sum += report.total().value();
         self.residency[self.controller.level_index()] += 1; // ramp-lint:allow(panic-reach) -- `residency` has one entry per ladder level and `level_index()` is bounded by the ladder length
         self.performance_sum += self.controller.level().performance_factor(&self.node);
@@ -335,7 +335,7 @@ pub fn run_with_drm(
             residency: vec![0; powers.len()],
             controller,
             powers,
-            empty: RateAccumulator::new(&engine.models, *node),
+            tc: engine.models.tc.prepare(node),
             node: *node,
             qualification,
             fit_sum: 0.0,

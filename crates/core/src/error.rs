@@ -1,5 +1,7 @@
 //! Error type for the RAMP core crate.
 
+use crate::mechanisms::MechanismKind;
+use ramp_microarch::Structure;
 use std::error::Error;
 use std::fmt;
 
@@ -21,6 +23,18 @@ pub enum RampError {
     /// Study results lack a value that a report or check asked for
     /// (an (app, node) run, a node's worst case).
     MissingResult(String),
+    /// A failure mechanism priced a rate that is not finite and
+    /// non-negative (the model's parameters overflow, say).
+    InvalidRate {
+        /// The mechanism that priced it.
+        mechanism: MechanismKind,
+        /// The structure it was priced for.
+        structure: Structure,
+        /// The second-pass interval, counted across trace repeats.
+        interval: u64,
+        /// The rate itself.
+        rate: f64,
+    },
 }
 
 impl fmt::Display for RampError {
@@ -37,6 +51,15 @@ impl fmt::Display for RampError {
             RampError::Io(msg) => write!(f, "I/O error: {msg}"),
             RampError::Serialize(msg) => write!(f, "serialization error: {msg}"),
             RampError::MissingResult(what) => write!(f, "study results have no {what}"),
+            RampError::InvalidRate {
+                mechanism,
+                structure,
+                interval,
+                rate,
+            } => write!(
+                f,
+                "{mechanism} rate of {structure} in second-pass interval {interval} is {rate}"
+            ),
         }
     }
 }

@@ -16,7 +16,7 @@
 
 use super::MechanismKernel;
 use crate::TechNode;
-use ramp_units::{ActivityFactor, CurrentDensity, Kelvin, Volts, BOLTZMANN_EV_PER_K};
+use ramp_units::{ActivityFactor, CurrentDensity, Kelvin, Volts};
 use serde::{Deserialize, Serialize};
 
 /// Electromigration failure model.
@@ -92,18 +92,36 @@ pub struct EmKernel {
     geometry: f64,
 }
 
-impl MechanismKernel for EmKernel {
-    type Hoisted = f64;
+impl EmKernel {
+    /// The activation energy Eₐ (eV) of the Arrhenius term.
+    pub(crate) fn activation_energy_ev(&self) -> f64 {
+        self.model.activation_energy_ev
+    }
 
-    fn hoist(&self, _voltage: Volts, activity: ActivityFactor) -> f64 {
+    /// `J^n` at `activity`: the only term that depends on neither the
+    /// supply nor the temperature.
+    pub(crate) fn current_term(&self, activity: ActivityFactor) -> f64 {
         let j = self.j_max.at_activity(activity).value();
         j.powf(self.model.current_exponent)
     }
 
-    fn rate_at(&self, current_term: f64, temperature: Kelvin) -> f64 {
-        let arrhenius =
-            (-self.model.activation_energy_ev / (BOLTZMANN_EV_PER_K * temperature.value())).exp();
+    /// The rate from its current term and its Arrhenius factor
+    /// ([`super::arrhenius`] at this kernel's Eₐ).
+    pub(crate) fn rate_from(&self, current_term: f64, arrhenius: f64) -> f64 {
         current_term * arrhenius * self.geometry
+    }
+}
+
+impl MechanismKernel for EmKernel {
+    type Hoisted = f64;
+
+    fn hoist(&self, _voltage: Volts, activity: ActivityFactor) -> f64 {
+        self.current_term(activity)
+    }
+
+    fn rate_at(&self, current_term: f64, temperature: Kelvin) -> f64 {
+        let arrhenius = super::arrhenius(self.model.activation_energy_ev, temperature);
+        self.rate_from(current_term, arrhenius)
     }
 }
 
@@ -112,7 +130,7 @@ mod tests {
     use super::*;
     use crate::mechanisms::test_support::typical_op;
     use crate::NodeId;
-    use ramp_units::ActivityFactor;
+    use ramp_units::{ActivityFactor, BOLTZMANN_EV_PER_K};
 
     fn rate(em: &Electromigration, temp: f64, act: f64, id: NodeId) -> f64 {
         let mut op = typical_op(temp);

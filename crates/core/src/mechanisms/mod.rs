@@ -22,6 +22,12 @@
 //! [`MechanismSet`] names the four models, one concrete field each, and
 //! [`MechanismSet::prepare`] builds all four kernels of a node at once.
 //! Each rate formula exists once, in its kernel.
+//!
+//! The second pass prices a whole interval at once:
+//! [`PreparedSet::price_interval`] returns EM, SM and TDDB for all seven
+//! structures ([`IntervalRates`]) and evaluates each term two rates share
+//! only once. Its activity-only term comes in as [`ActivityTerms`], which
+//! a run replaying one activity trace builds once per trace interval.
 
 mod em;
 mod sm;
@@ -34,7 +40,8 @@ pub use tc::ThermalCycling;
 pub use tddb::{DielectricBreakdown, TddbKernel};
 
 use crate::{OperatingPoint, TechNode};
-use ramp_units::{ActivityFactor, Kelvin, Volts};
+use ramp_microarch::{PerStructure, Structure};
+use ramp_units::{ActivityFactor, Kelvin, Volts, BOLTZMANN_EV_PER_K};
 use serde::{Deserialize, Serialize};
 
 /// Identifies one of the four modelled failure mechanisms.
@@ -138,29 +145,64 @@ impl MechanismSet {
     /// Every mechanism prepared for `node`.
     #[must_use]
     pub fn prepare(&self, node: &TechNode) -> PreparedSet {
+        let em = self.em.prepare(node);
+        let sm = self.sm.prepare(node);
         PreparedSet {
-            em: self.em.prepare(node),
-            sm: self.sm.prepare(node),
+            shared_arrhenius: em.activation_energy_ev().to_bits()
+                == sm.activation_energy_ev.to_bits(),
+            em,
+            sm,
             tddb: self.tddb.prepare(node),
             tc: self.tc.prepare(node),
         }
     }
 }
 
+/// The Arrhenius factor `exp(−Eₐ/(k·T))` that EM and SM share in form.
+fn arrhenius(activation_energy_ev: f64, temperature: Kelvin) -> f64 {
+    (-activation_energy_ev / (BOLTZMANN_EV_PER_K * temperature.value())).exp()
+}
+
 /// The four kernels of one node (see [`MechanismSet::prepare`]).
+///
+/// The kernels are read-only once prepared: whether EM and SM share one
+/// Arrhenius factor is decided in `prepare` from their activation
+/// energies, and nothing can change either energy afterwards.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreparedSet {
-    /// Electromigration kernel.
-    pub em: EmKernel,
-    /// Stress migration (its own kernel).
-    pub sm: StressMigration,
-    /// Gate-oxide breakdown kernel.
-    pub tddb: TddbKernel,
-    /// Thermal cycling (its own kernel).
-    pub tc: ThermalCycling,
+    em: EmKernel,
+    sm: StressMigration,
+    tddb: TddbKernel,
+    tc: ThermalCycling,
+    /// EM's and SM's Eₐ are bit-equal, so one `exp` serves both.
+    shared_arrhenius: bool,
 }
 
 impl PreparedSet {
+    /// Electromigration kernel.
+    #[must_use]
+    pub fn em(&self) -> &EmKernel {
+        &self.em
+    }
+
+    /// Stress migration (its own kernel).
+    #[must_use]
+    pub fn sm(&self) -> &StressMigration {
+        &self.sm
+    }
+
+    /// Gate-oxide breakdown kernel.
+    #[must_use]
+    pub fn tddb(&self) -> &TddbKernel {
+        &self.tddb
+    }
+
+    /// Thermal cycling (its own kernel).
+    #[must_use]
+    pub fn tc(&self) -> &ThermalCycling {
+        &self.tc
+    }
+
     /// Relative rate of mechanism `kind` at one operating point (see
     /// [`MechanismKernel::rate`]).
     #[must_use]
@@ -172,6 +214,112 @@ impl PreparedSet {
             MechanismKind::Tddb => self.tddb.rate(op),
             MechanismKind::Tc => self.tc.rate(op),
         }
+    }
+
+    /// EM, SM and TDDB for every structure of one interval, each rate
+    /// bit-equal to [`PreparedSet::rate`] at that structure's operating
+    /// point (its `terms` activity, `supply` and `temperature`).
+    ///
+    /// Terms two rates share are evaluated once: per structure, one
+    /// `exp(−Eₐ/(k·T))` serves EM and SM when their activation energies
+    /// are bit-equal (decided in [`MechanismSet::prepare`]), and TDDB's
+    /// `ln V` is taken again only when the supply differs from the
+    /// previous structure's, so an interval at one supply takes one `ln`.
+    /// EM's `J^n` comes precomputed in `terms`, which must have been
+    /// built from this set.
+    #[must_use]
+    pub fn price_interval(
+        &self,
+        terms: &ActivityTerms,
+        supply: &PerStructure<Volts>,
+        temperature: &PerStructure<Kelvin>,
+    ) -> IntervalRates {
+        let mut rates = IntervalRates::ZERO;
+        let [em, sm, tddb] = &mut rates.0;
+        let outputs = em.0.iter_mut().zip(&mut sm.0).zip(&mut tddb.0);
+        let inputs = terms.em_current.0.iter().zip(&supply.0).zip(&temperature.0);
+        let mut ln_supply: Option<(Volts, f64)> = None;
+        for (((em, sm), tddb), ((&current, &v), &t)) in outputs.zip(inputs) {
+            let em_arrhenius = arrhenius(self.em.activation_energy_ev(), t);
+            let sm_arrhenius = if self.shared_arrhenius {
+                em_arrhenius
+            } else {
+                arrhenius(self.sm.activation_energy_ev, t)
+            };
+            *em = self.em.rate_from(current, em_arrhenius);
+            *sm = self.sm.rate_from(t, sm_arrhenius);
+            let ln_v = match ln_supply {
+                Some((last, ln_v)) if last.value().to_bits() == v.value().to_bits() => ln_v,
+                _ => self.tddb.hoist(v, ActivityFactor::IDLE),
+            };
+            ln_supply = Some((v, ln_v));
+            *tddb = self.tddb.rate_at(ln_v, t);
+        }
+        rates
+    }
+}
+
+/// The terms of an interval's rates that depend only on the node and the
+/// structures' activity factors: EM's current term `J^n` per structure.
+///
+/// Its one constructor takes the activity and no supply or temperature,
+/// so nothing else can enter it. That is what lets a run replaying one
+/// activity trace build it once per trace interval and reuse it on every
+/// repeat, even when the supply changes from interval to interval (a
+/// DRM-managed run).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ActivityTerms {
+    em_current: PerStructure<f64>,
+}
+
+impl ActivityTerms {
+    /// The activity terms of `prepared`'s node at `activity`.
+    #[must_use]
+    pub fn new(prepared: &PreparedSet, activity: &PerStructure<ActivityFactor>) -> Self {
+        ActivityTerms {
+            em_current: PerStructure(activity.0.map(|a| prepared.em.current_term(a))),
+        }
+    }
+}
+
+/// EM, SM and TDDB rates of every structure in one interval (see
+/// [`PreparedSet::price_interval`]). Thermal cycling is not an interval
+/// rate: it is priced on a run's average temperature.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IntervalRates(pub(crate) [PerStructure<f64>; 3]);
+
+impl IntervalRates {
+    /// The mechanisms an interval prices, in storage order.
+    pub const MECHANISMS: [MechanismKind; 3] =
+        [MechanismKind::Em, MechanismKind::Sm, MechanismKind::Tddb];
+
+    /// Every rate zero.
+    pub(crate) const ZERO: IntervalRates =
+        IntervalRates([PerStructure([0.0; Structure::COUNT]); 3]);
+
+    /// `kind`'s rate per structure; `None` for thermal cycling.
+    #[must_use]
+    pub fn get(&self, kind: MechanismKind) -> Option<&PerStructure<f64>> {
+        Self::MECHANISMS
+            .iter()
+            .zip(&self.0)
+            .find_map(|(&m, rates)| (m == kind).then_some(rates))
+    }
+
+    /// The first rate, in [`IntervalRates::MECHANISMS`] then structure
+    /// order, that is not finite and non-negative, or `None` when every
+    /// rate is.
+    #[must_use]
+    pub(crate) fn first_invalid(&self) -> Option<(MechanismKind, Structure, f64)> {
+        Self::MECHANISMS
+            .iter()
+            .zip(&self.0)
+            .find_map(|(&m, rates)| {
+                rates
+                    .iter()
+                    .find(|&(_, &r)| !(0.0..f64::INFINITY).contains(&r))
+                    .map(|(s, &r)| (m, s, r))
+            })
     }
 }
 

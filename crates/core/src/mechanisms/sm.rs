@@ -10,7 +10,7 @@
 
 use super::MechanismKernel;
 use crate::TechNode;
-use ramp_units::{ActivityFactor, Kelvin, Volts, BOLTZMANN_EV_PER_K};
+use ramp_units::{ActivityFactor, Kelvin, Volts};
 use serde::{Deserialize, Serialize};
 
 /// Stress-migration failure model.
@@ -55,6 +55,13 @@ impl StressMigration {
     pub fn prepare(&self, _node: &TechNode) -> StressMigration {
         *self
     }
+
+    /// The rate at `temperature` from its Arrhenius factor
+    /// ([`super::arrhenius`] at this model's Eₐ).
+    pub(crate) fn rate_from(&self, temperature: Kelvin, arrhenius: f64) -> f64 {
+        let stress = (self.stress_free_temp.value() - temperature.value()).abs();
+        stress.powf(self.stress_exponent) * arrhenius
+    }
 }
 
 impl MechanismKernel for StressMigration {
@@ -63,10 +70,8 @@ impl MechanismKernel for StressMigration {
     fn hoist(&self, _voltage: Volts, _activity: ActivityFactor) {}
 
     fn rate_at(&self, (): (), temperature: Kelvin) -> f64 {
-        let t = temperature.value();
-        let stress = (self.stress_free_temp.value() - t).abs();
-        let arrhenius = (-self.activation_energy_ev / (BOLTZMANN_EV_PER_K * t)).exp();
-        stress.powf(self.stress_exponent) * arrhenius
+        let arrhenius = super::arrhenius(self.activation_energy_ev, temperature);
+        self.rate_from(temperature, arrhenius)
     }
 }
 
@@ -75,6 +80,7 @@ mod tests {
     use super::*;
     use crate::mechanisms::test_support::typical_op;
     use crate::NodeId;
+    use ramp_units::BOLTZMANN_EV_PER_K;
 
     fn rate(t: f64) -> f64 {
         StressMigration::default().rate(&typical_op(t))

@@ -15,14 +15,14 @@
 //!    accumulates instantaneous failure rates per structure. Each interval
 //!    runs at the DVS level a crate-private `LevelPolicy` hands back (its
 //!    power model and supply voltage), and the policy then observes the
-//!    interval's operating points. A plain run's policy is the node's own
+//!    rates priced for the interval. A plain run's policy is the node's own
 //!    nominal level; [`crate::drm::run_with_drm`] passes the DRM
 //!    controller. The first pass always runs at the nominal level.
 
 use crate::drm::DvsLevel;
-use crate::mechanisms::MechanismSet;
+use crate::mechanisms::{ActivityTerms, IntervalRates, MechanismSet};
 use crate::rates::{AveragedRates, RateAccumulator};
-use crate::{OperatingPoint, RampError, TechNode};
+use crate::{RampError, TechNode};
 use ramp_microarch::{
     simulate_profile_cached_grouped, ActivityTrace, MachineConfig, PerStructure,
     SimulationLength, Structure,
@@ -261,8 +261,9 @@ pub(crate) fn power_model(
 pub(crate) trait LevelPolicy {
     /// The power model and supply voltage of the next interval.
     fn level(&self) -> (&PowerModel, Volts);
-    /// Observes the operating points the interval produced.
-    fn observe(&mut self, _ops: &PerStructure<OperatingPoint>) {}
+    /// Observes the rates the run priced for the interval and the
+    /// structure temperatures its thermal step reached.
+    fn observe(&mut self, _rates: &IntervalRates, _temperature: &PerStructure<Kelvin>) {}
 }
 
 /// A plain run's policy: one power model and supply voltage (the node's
@@ -285,23 +286,35 @@ trait IntervalObserver {
     /// Observes interval `index` (counted across trace repeats): its
     /// supply, its activity, and the structure temperatures its thermal
     /// step reached.
+    ///
+    /// # Errors
+    ///
+    /// [`RampError::InvalidRate`] when a priced rate is not finite and
+    /// non-negative.
     fn observe(
         &mut self,
         index: u64,
         vdd: Volts,
         factors: &PerStructure<ActivityFactor>,
         temps: &PerStructure<Kelvin>,
-    );
+    ) -> Result<(), RampError>;
     /// Ends the second pass.
     fn finish(self) -> Self::Output;
 }
 
-/// A priced run's observer: each interval's operating points go to the
-/// rate accumulator and the level policy, and every `stride`-th
+/// A priced run's observer: each interval is priced once, its rates go
+/// to the rate accumulator and the level policy, and every `stride`-th
 /// interval's temperatures to the thermal trace when one is recorded.
+///
+/// Every trace repeat replays the same activity trace, so the activity
+/// terms of each trace interval are built in the first repeat (`index <
+/// trace_intervals`) and read at `index % trace_intervals` on every later
+/// one. The table lives and dies with this run.
 struct Priced<P> {
     policy: P,
     rates: RateAccumulator,
+    activity_terms: Vec<ActivityTerms>,
+    trace_intervals: u64,
     thermal_trace: Option<Vec<PerStructure<Kelvin>>>,
     stride: u64,
 }
@@ -319,18 +332,31 @@ impl<P: LevelPolicy> IntervalObserver for Priced<P> {
         vdd: Volts,
         factors: &PerStructure<ActivityFactor>,
         temps: &PerStructure<Kelvin>,
-    ) {
-        let ops = PerStructure::from_fn(|s| {
-            // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-            OperatingPoint::new(temps[s], vdd, factors[s])
-        });
-        self.rates.observe(&ops, 1.0);
-        self.policy.observe(&ops);
+    ) -> Result<(), RampError> {
+        let prepared = self.rates.prepared();
+        if index < self.trace_intervals {
+            self.activity_terms
+                .push(ActivityTerms::new(prepared, factors));
+        }
+        // ramp-lint:allow(panic-reach) -- the first repeat pushed one entry per trace interval, and the slot is below that count
+        let terms = &self.activity_terms[(index % self.trace_intervals) as usize];
+        let rates = prepared.price_interval(terms, &PerStructure([vdd; Structure::COUNT]), temps);
+        if let Some((mechanism, structure, rate)) = rates.first_invalid() {
+            return Err(RampError::InvalidRate {
+                mechanism,
+                structure,
+                interval: index,
+                rate,
+            });
+        }
+        self.rates.accumulate(&rates, temps, 1.0);
+        self.policy.observe(&rates, temps);
         if let Some(trace) = self.thermal_trace.as_mut() {
             if index.is_multiple_of(self.stride) {
                 trace.push(*temps);
             }
         }
+        Ok(())
     }
 
     fn finish(self) -> Self::Output {
@@ -355,7 +381,8 @@ impl IntervalObserver for Unpriced {
         _vdd: Volts,
         _factors: &PerStructure<ActivityFactor>,
         _temps: &PerStructure<Kelvin>,
-    ) {
+    ) -> Result<(), RampError> {
+        Ok(())
     }
 
     fn finish(self) {}
@@ -449,10 +476,13 @@ pub(crate) fn run_app_filling_intervals<P: LevelPolicy>(
     levels: impl FnOnce(PowerModel) -> Result<P, RampError>,
 ) -> Result<(AppNodeRun, P), RampError> {
     let stride = u64::from(cfg.thermal_trace_stride);
-    let priced = |power, intervals: usize| {
+    let priced = |power, trace_intervals: usize| {
+        let intervals = trace_intervals * cfg.trace_repeats as usize;
         Ok(Priced {
             policy: levels(power)?,
             rates: RateAccumulator::new(models, *node),
+            activity_terms: Vec::with_capacity(trace_intervals),
+            trace_intervals: trace_intervals as u64,
             thermal_trace: cfg
                 .record_thermal_trace
                 .then(|| Vec::with_capacity(intervals.div_ceil(stride as usize))),
@@ -480,7 +510,7 @@ pub(crate) fn run_app_filling_intervals<P: LevelPolicy>(
 /// The average total power [`run_app_on_node`] reports for `profile` at
 /// `node` without a reference power, bit for bit, from a run that prices
 /// nothing: the same timing lookup, first pass, power samples and thermal
-/// steps in the same order, but no operating points, rate accumulation,
+/// steps in the same order, but no interval pricing, rate accumulation,
 /// level policy or thermal trace. The constant-sink rule needs only this
 /// of a scaled run's 180 nm reference run.
 pub(crate) fn average_power(
@@ -507,7 +537,7 @@ struct Stages {
 /// The three stages of one run. The second pass takes each interval's
 /// level from, and hands what the interval produced to, the observer
 /// `observer` builds from the node's nominal power model (the first
-/// pass's) and the number of intervals the pass will walk.
+/// pass's) and the number of intervals in one repeat of the trace.
 fn run_stages<O: IntervalObserver>(
     profile: &BenchmarkProfile,
     node: &TechNode,
@@ -580,7 +610,7 @@ fn run_stages<O: IntervalObserver>(
 
     // ---- Second pass: transient + the observer's per-interval work -------
     let second_pass_span = ramp_obs::span!("second_pass");
-    let mut observer = observer(power, activity.intervals().len() * cfg.trace_repeats as usize)?;
+    let mut observer = observer(power, activity.intervals().len())?;
     let mut state = initial;
     let mut dyn_sum = 0.0;
     let mut leak_sum = 0.0;
@@ -600,7 +630,7 @@ fn run_stages<O: IntervalObserver>(
             let (power, vdd) = observer.level();
             let sample = power.sample(&interval.factors, &state.structures);
             state = sim.step_many(&state, &sample.per_structure_total(), dt, substeps);
-            observer.observe(samples, vdd, &interval.factors, &state.structures);
+            observer.observe(samples, vdd, &interval.factors, &state.structures)?;
             if trace_events && samples.is_multiple_of(stride) {
                 let (hot, hot_temp) = state.hottest();
                 ramp_obs::trace!(
@@ -783,6 +813,30 @@ mod tests {
         let b = quick_run("twolf", NodeId::N130, None);
         assert_eq!(a.rates, b.rates);
         assert_eq!(a.avg_dynamic, b.avg_dynamic);
+    }
+
+    #[test]
+    fn an_overflowing_rate_is_an_error_not_a_panic() {
+        // J = 9·p exceeds 1 for any activity above 1/9, so J^n is ∞.
+        let mut models = MechanismSet::default();
+        models.em.current_exponent = 1e6;
+        let err = run_app_on_node(
+            &spec::profile("gzip").unwrap(),
+            &TechNode::reference(),
+            &PipelineConfig::quick(),
+            &models,
+            None,
+        )
+        .unwrap_err();
+        let RampError::InvalidRate {
+            mechanism, rate, ..
+        } = err
+        else {
+            panic!("expected an invalid-rate error, got {err}");
+        };
+        assert_eq!(mechanism, crate::mechanisms::MechanismKind::Em);
+        assert!(rate.is_infinite());
+        assert!(err.to_string().contains("EM rate of"), "{err}");
     }
 
     #[test]

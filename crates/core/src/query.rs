@@ -396,8 +396,8 @@ impl QueryEngine {
     /// 180 nm average power under the same pipeline. That reference run
     /// prices nothing ([`average_power`]): it takes the same timing
     /// lookup, first pass, power samples and thermal steps as a full
-    /// 180 nm run, so its power is the full run's bit for bit, but builds
-    /// no operating points and accumulates no rates.
+    /// 180 nm run, so its power is the full run's bit for bit, but prices
+    /// no interval and accumulates no rates.
     pub(crate) fn reference_power(
         &self,
         profile: &BenchmarkProfile,

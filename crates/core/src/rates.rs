@@ -8,10 +8,13 @@
 //! accumulator tracks average temperature and evaluates TC once at the
 //! end.
 
-use crate::mechanisms::{MechanismKernel, MechanismKind, MechanismSet, PerMechanism, PreparedSet};
+use crate::mechanisms::{
+    ActivityTerms, IntervalRates, MechanismKernel, MechanismKind, MechanismSet, PerMechanism,
+    PreparedSet, ThermalCycling,
+};
 use crate::{OperatingPoint, TechNode};
 use ramp_microarch::{PerStructure, Structure};
-use ramp_units::{ActivityFactor, Kelvin, Volts};
+use ramp_units::Kelvin;
 
 /// Time-averaged relative failure rates, per mechanism and structure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,6 +25,34 @@ pub struct AveragedRates {
 }
 
 impl AveragedRates {
+    /// The interval mechanisms' mean `rates`, with thermal cycling priced
+    /// by `tc` once at each structure's average temperature.
+    fn from_means(
+        rates: &IntervalRates,
+        average_temperature: PerStructure<Kelvin>,
+        peak_temperature: PerStructure<Kelvin>,
+        tc: &ThermalCycling,
+    ) -> Self {
+        let tc_rates = PerStructure(average_temperature.0.map(|t| tc.rate_at((), t)));
+        AveragedRates {
+            per_mechanism: PerMechanism::from_fn(|m| *rates.get(m).unwrap_or(&tc_rates)),
+            average_temperature,
+            peak_temperature,
+        }
+    }
+
+    /// The averages of a run of the one interval whose `rates` and
+    /// structure `temperature`s are given: bit-equal to a
+    /// [`RateAccumulator`] that observed only that interval at weight 1
+    /// (`r·1/1 = r`), without pricing it again.
+    pub(crate) fn instantaneous(
+        rates: &IntervalRates,
+        temperature: &PerStructure<Kelvin>,
+        tc: &ThermalCycling,
+    ) -> Self {
+        Self::from_means(rates, *temperature, *temperature, tc)
+    }
+
     /// Mean relative rate of one (mechanism, structure) pair.
     #[must_use]
     // ramp-lint:allow(unit-safety) -- relative failure rate, dimensionless
@@ -67,8 +98,7 @@ impl AveragedRates {
 #[derive(Debug, Clone)]
 pub struct RateAccumulator {
     prepared: PreparedSet,
-    vdd: Volts,
-    rate_sums: PerMechanism<PerStructure<f64>>,
+    rate_sums: IntervalRates,
     temp_sums: PerStructure<f64>,
     temp_peaks: PerStructure<f64>,
     weight: f64,
@@ -80,44 +110,64 @@ impl RateAccumulator {
     pub fn new(models: &MechanismSet, node: TechNode) -> Self {
         RateAccumulator {
             prepared: models.prepare(&node),
-            vdd: node.vdd,
-            rate_sums: PerMechanism::from_fn(|_| PerStructure::from_fn(|_| 0.0)),
+            rate_sums: IntervalRates::ZERO,
             temp_sums: PerStructure::from_fn(|_| 0.0),
             temp_peaks: PerStructure::from_fn(|_| 0.0),
             weight: 0.0,
         }
     }
 
+    /// The mechanisms prepared for this accumulator's node.
+    pub(crate) fn prepared(&self) -> &PreparedSet {
+        &self.prepared
+    }
+
     /// Observes one sampling interval: an operating point per structure,
-    /// weighted by the interval duration (relative weights suffice).
+    /// weighted by the interval duration (relative weights suffice). The
+    /// interval is priced by [`PreparedSet::price_interval`].
     ///
     /// # Panics
     ///
     /// Panics if `dt_weight` is not finite and positive, or a mechanism
-    /// produces a non-finite rate.
+    /// produces a non-finite or negative rate. (The pipeline checks the
+    /// same rates and returns a [`crate::RampError`] instead.)
     // ramp-lint:allow(unit-safety) -- dt_weight is a dimensionless quadrature weight
     pub fn observe(&mut self, ops: &PerStructure<OperatingPoint>, dt_weight: f64) {
         assert!(
             dt_weight.is_finite() && dt_weight > 0.0,
             "interval weight must be positive"
         );
-        // Thermal cycling is evaluated on the average temperature at finish.
-        for kind in [MechanismKind::Em, MechanismKind::Sm, MechanismKind::Tddb] {
-            for s in Structure::ALL {
-                // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-                let r = self.prepared.rate(kind, &ops[s]);
-                assert!(
-                    r.is_finite() && r >= 0.0,
-                    "{kind} produced invalid rate {r}"
-                );
-                self.rate_sums[kind][s] += r * dt_weight; // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
+        let activity = PerStructure(ops.0.map(|op| op.activity));
+        let supply = PerStructure(ops.0.map(|op| op.voltage));
+        let temperature = PerStructure(ops.0.map(|op| op.temperature));
+        let terms = ActivityTerms::new(&self.prepared, &activity);
+        let rates = self.prepared.price_interval(&terms, &supply, &temperature);
+        if let Some((kind, s, r)) = rates.first_invalid() {
+            panic!("{kind} produced invalid rate {r} at {s}"); // ramp-lint:allow(panic-hygiene) -- the documented panic of this `()`-returning API
+        }
+        self.accumulate(&rates, &temperature, dt_weight);
+    }
+
+    /// Adds one priced interval at `dt_weight`: its rates, and its
+    /// structure temperatures to the average and the peak.
+    // ramp-lint:allow(unit-safety) -- dt_weight is a dimensionless quadrature weight
+    pub(crate) fn accumulate(
+        &mut self,
+        rates: &IntervalRates,
+        temperature: &PerStructure<Kelvin>,
+        dt_weight: f64,
+    ) {
+        for (sums, rates) in self.rate_sums.0.iter_mut().zip(&rates.0) {
+            for (sum, r) in sums.0.iter_mut().zip(&rates.0) {
+                *sum += r * dt_weight;
             }
         }
-        for s in Structure::ALL {
-            let t = ops[s].temperature.value(); // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
-            self.temp_sums[s] += t * dt_weight;
-            if t > self.temp_peaks[s] { // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
-                self.temp_peaks[s] = t;
+        let temps = self.temp_sums.0.iter_mut().zip(&mut self.temp_peaks.0);
+        for ((sum, peak), t) in temps.zip(&temperature.0) {
+            let t = t.value();
+            *sum += t * dt_weight;
+            if t > *peak {
+                *peak = t;
             }
         }
         self.weight += dt_weight;
@@ -131,33 +181,29 @@ impl RateAccumulator {
     #[must_use]
     pub fn finish(self) -> AveragedRates {
         assert!(self.weight > 0.0, "no intervals observed");
-        let avg_temp = PerStructure::from_fn(|s| {
-            // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-            Kelvin::new(self.temp_sums[s] / self.weight)
-                .expect("average of valid temperatures is valid") // ramp-lint:allow(panic-hygiene) -- mean of valid temperatures stays valid
-        });
-        let mut per_mechanism =
-            PerMechanism::from_fn(|m| PerStructure::from_fn(|s| self.rate_sums[m][s] / self.weight)); // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
-        // Thermal cycling: one evaluation at the average temperature.
-        for s in Structure::ALL {
-            // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-            let op = OperatingPoint::new(avg_temp[s], self.vdd, ActivityFactor::IDLE);
-            per_mechanism[MechanismKind::Tc][s] = self.prepared.tc.rate(&op); // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
-        }
-        AveragedRates {
-            per_mechanism,
-            average_temperature: avg_temp,
-            peak_temperature: PerStructure::from_fn(|s| {
-                Kelvin::new(self.temp_peaks[s].max(1e-6)) // ramp-lint:allow(panic-reach) -- enum-indexed `PerMechanism`/`PerStructure` are total
-                    .expect("peak of valid temperatures is valid") // ramp-lint:allow(panic-hygiene) -- max of valid temperatures stays valid
-            }),
-        }
+        let mean = |sum: f64| sum / self.weight;
+        let means = IntervalRates(self.rate_sums.0.map(|sums| PerStructure(sums.0.map(mean))));
+        let average_temperature = PerStructure(self.temp_sums.0.map(|sum| {
+            // ramp-lint:allow(panic-hygiene) -- mean of valid temperatures stays valid
+            Kelvin::new(mean(sum)).expect("average of valid temperatures is valid")
+        }));
+        let peak_temperature = PerStructure(self.temp_peaks.0.map(|peak| {
+            // ramp-lint:allow(panic-hygiene) -- max of valid temperatures stays valid
+            Kelvin::new(peak.max(1e-6)).expect("peak of valid temperatures is valid")
+        }));
+        AveragedRates::from_means(
+            &means,
+            average_temperature,
+            peak_temperature,
+            self.prepared.tc(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ramp_units::{ActivityFactor, Volts};
 
     fn ops(t: f64) -> PerStructure<OperatingPoint> {
         PerStructure::from_fn(|_| {

@@ -2,16 +2,17 @@
 //!
 //! Each mechanism's `prepare(node)` hoists the node's invariant factors.
 //! This test holds the kernel (through `rate`, through `hoist` +
-//! `rate_at` and through `PreparedSet::rate`) to a copy of each formula
-//! as it read before the kernels existed, compared with `to_bits`, and a
+//! `rate_at`, through `PreparedSet::rate` and through the fused
+//! `PreparedSet::price_interval`) to a copy of each formula as it read
+//! before the kernels existed, compared with `to_bits`, and a
 //! `RateAccumulator` to the same accumulation of those formula copies.
 //! Nodes range over all six `NodeId`s, with `t_ox` and κ perturbed the
 //! way the fleet perturbs a chip's node.
 
 use proptest::prelude::*;
 use ramp_core::mechanisms::{
-    DielectricBreakdown, Electromigration, MechanismKernel, MechanismKind, MechanismSet,
-    StressMigration, ThermalCycling,
+    ActivityTerms, DielectricBreakdown, Electromigration, IntervalRates, MechanismKernel,
+    MechanismKind, MechanismSet, StressMigration, ThermalCycling,
 };
 use ramp_core::{NodeId, OperatingPoint, RateAccumulator, TechNode};
 use ramp_microarch::{PerStructure, Structure};
@@ -78,10 +79,10 @@ fn check_all(op: &OperatingPoint, node: &TechNode) {
     for set in sets() {
         let prepared = set.prepare(node);
         let want = |kind| formula(&set, kind, op, node);
-        check("EM", prepared.em, want(MechanismKind::Em), op);
-        check("SM", prepared.sm, want(MechanismKind::Sm), op);
-        check("TDDB", prepared.tddb, want(MechanismKind::Tddb), op);
-        check("TC", prepared.tc, want(MechanismKind::Tc), op);
+        check("EM", *prepared.em(), want(MechanismKind::Em), op);
+        check("SM", *prepared.sm(), want(MechanismKind::Sm), op);
+        check("TDDB", *prepared.tddb(), want(MechanismKind::Tddb), op);
+        check("TC", *prepared.tc(), want(MechanismKind::Tc), op);
         for kind in MechanismKind::ALL {
             let (got, want) = (prepared.rate(kind, op), want(kind));
             let context = format!("{kind} at {op:?} on {:?}", node.id);
@@ -90,15 +91,23 @@ fn check_all(op: &OperatingPoint, node: &TechNode) {
     }
 }
 
-/// The default set and the one with each mechanism's published
-/// parameters (SM and TC have one parameter set).
-fn sets() -> [MechanismSet; 2] {
+/// The default set, the one with each mechanism's published parameters
+/// (SM and TC have one parameter set), and one whose SM activation energy
+/// differs from EM's, so EM and SM cannot share an Arrhenius factor.
+fn sets() -> [MechanismSet; 3] {
     let published = MechanismSet {
         em: Electromigration::published(),
         tddb: DielectricBreakdown::published_wu(),
         ..MechanismSet::default()
     };
-    [MechanismSet::default(), published]
+    let split_activation = MechanismSet {
+        sm: StressMigration {
+            activation_energy_ev: 0.85,
+            ..StressMigration::default()
+        },
+        ..MechanismSet::default()
+    };
+    [MechanismSet::default(), published, split_activation]
 }
 
 /// `kind`'s formula copy with `set`'s parameters.
@@ -230,6 +239,45 @@ proptest! {
                         let context = format!("{kind} {s:?} on {id:?}");
                         prop_assert_eq!(got.rate(kind, s).to_bits(), want.to_bits(), "{context}");
                     }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fused_interval_pricing_matches_the_formulas_bit_for_bit(
+        temps in proptest::collection::vec(300.0f64..420.0, Structure::COUNT),
+        activities in proptest::collection::vec(0.0f64..=1.0, Structure::COUNT),
+        supply_picks in proptest::collection::vec(0usize..4, Structure::COUNT),
+        supply_drawn in 0.7f64..1.4,
+        node_idx in 0usize..NODES.len(),
+    ) {
+        // Per-structure supplies: runs of one supply and changes between
+        // neighbours both occur, so `ln V` reuse is exercised both ways.
+        let supplies = [0.9, 1.0, 1.3];
+        let ops = PerStructure::from_fn(|s| {
+            let i = s.index();
+            op(temps[i], pick(&supplies, supply_picks[i], supply_drawn), activities[i])
+        });
+        let node = TechNode::get(NODES[node_idx]);
+        for set in sets() {
+            let prepared = set.prepare(&node);
+            let activity = PerStructure::from_fn(|s| ops[s].activity);
+            let supply = PerStructure::from_fn(|s| ops[s].voltage);
+            let temperature = PerStructure::from_fn(|s| ops[s].temperature);
+            let terms = ActivityTerms::new(&prepared, &activity);
+            let rates = prepared.price_interval(&terms, &supply, &temperature);
+            prop_assert!(rates.get(MechanismKind::Tc).is_none());
+            for kind in IntervalRates::MECHANISMS {
+                for s in Structure::ALL {
+                    let got = rates.get(kind).unwrap()[s];
+                    let want = formula(&set, kind, &ops[s], &node);
+                    let context = format!("{kind} {s:?} at {:?} on {:?}", ops[s], node.id);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{}", context);
                 }
             }
         }

@@ -81,10 +81,10 @@ impl SharedTerms {
     /// canonical order.
     fn rates_at(&self, kernels: &PreparedSet, temperature: Kelvin) -> [f64; MechanismKind::COUNT] {
         [
-            kernels.em.rate_at(self.em_current, temperature),
-            kernels.sm.rate_at((), temperature),
-            kernels.tddb.rate_at(self.tddb_ln_vdd, temperature),
-            kernels.tc.rate_at((), temperature),
+            kernels.em().rate_at(self.em_current, temperature),
+            kernels.sm().rate_at((), temperature),
+            kernels.tddb().rate_at(self.tddb_ln_vdd, temperature),
+            kernels.tc().rate_at((), temperature),
         ]
     }
 }
@@ -117,8 +117,8 @@ impl ChipSampler {
         let mechanisms = MechanismSet::default();
         let kernels = mechanisms.prepare(&anchor.node);
         let shared = SharedTerms {
-            em_current: kernels.em.hoist(anchor.node.vdd, REFERENCE_ACTIVITY),
-            tddb_ln_vdd: kernels.tddb.hoist(anchor.node.vdd, REFERENCE_ACTIVITY),
+            em_current: kernels.em().hoist(anchor.node.vdd, REFERENCE_ACTIVITY),
+            tddb_ln_vdd: kernels.tddb().hoist(anchor.node.vdd, REFERENCE_ACTIVITY),
         };
         let cells = PerStructure::from_fn(|s| {
             // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total

@@ -44,9 +44,9 @@ proptest! {
         v in 0.9f64..1.25,
     ) {
         let prepared = MechanismSet::default().prepare(&TechNode::reference());
-        prop_assert!(prepared.em.rate(&op(t, 1.3, p + 0.1)) > prepared.em.rate(&op(t, 1.3, p)));
+        prop_assert!(prepared.em().rate(&op(t, 1.3, p + 0.1)) > prepared.em().rate(&op(t, 1.3, p)));
         prop_assert!(
-            prepared.tddb.rate(&op(t, v + 0.05, 0.5)) > prepared.tddb.rate(&op(t, v, 0.5))
+            prepared.tddb().rate(&op(t, v + 0.05, 0.5)) > prepared.tddb().rate(&op(t, v, 0.5))
         );
     }
 
