@@ -234,9 +234,10 @@ impl DrmOutcome {
 }
 
 /// The DRM controller as the second pass's per-interval level policy: it
-/// hands the pipeline the current level's power model and supply, and
-/// feeds each interval's instantaneous FIT, from the rates the pipeline
-/// priced for it, into the controller's running average.
+/// hands the pipeline its ladder's power models once and the current
+/// level's index and supply every interval, and feeds each interval's
+/// instantaneous FIT, from the rates the pipeline priced for it, into the
+/// controller's running average.
 struct ManagedLevels {
     controller: DrmController,
     /// One power model per ladder level, in ladder order.
@@ -253,9 +254,12 @@ struct ManagedLevels {
 }
 
 impl LevelPolicy for ManagedLevels {
-    fn level(&self) -> (&PowerModel, Volts) {
-        let power = &self.powers[self.controller.level_index()]; // ramp-lint:allow(panic-reach) -- `powers` has one entry per ladder level and `level_index()` is bounded by the ladder length
-        (power, self.controller.level().voltage)
+    fn models(&self) -> &[PowerModel] {
+        &self.powers
+    }
+
+    fn level(&self) -> (usize, Volts) {
+        (self.controller.level_index(), self.controller.level().voltage)
     }
 
     fn observe(&mut self, rates: &IntervalRates, temperature: &PerStructure<Kelvin>) {

@@ -28,8 +28,8 @@ use ramp_microarch::{
     SimulationLength, Structure,
 };
 use ramp_power::{
-    DynamicPowerModel, DynamicScaling, FeedbackTracker, LeakageModel, PowerModel,
-    StructureBudgets,
+    DynamicPowerModel, DynamicSample, DynamicScaling, FeedbackTracker, LeakageModel, PowerModel,
+    PowerSample, PreparedLeakage, StructureBudgets,
 };
 use ramp_thermal::{ThermalParams, ThermalSimulator, ThermalState};
 use ramp_trace::BenchmarkProfile;
@@ -259,8 +259,12 @@ pub(crate) fn power_model(
 
 /// The second pass's per-interval DVS level hook.
 pub(crate) trait LevelPolicy {
-    /// The power model and supply voltage of the next interval.
-    fn level(&self) -> (&PowerModel, Volts);
+    /// The power models of the policy's levels, in ladder order. The run
+    /// reads them once, before its first interval.
+    fn models(&self) -> &[PowerModel];
+    /// The next interval's level, as an index into
+    /// [`LevelPolicy::models`], and its supply voltage.
+    fn level(&self) -> (usize, Volts);
     /// Observes the rates the run priced for the interval and the
     /// structure temperatures its thermal step reached.
     fn observe(&mut self, _rates: &IntervalRates, _temperature: &PerStructure<Kelvin>) {}
@@ -269,8 +273,12 @@ pub(crate) trait LevelPolicy {
 /// A plain run's policy: one power model and supply voltage (the node's
 /// own) in every interval.
 impl LevelPolicy for (PowerModel, Volts) {
-    fn level(&self) -> (&PowerModel, Volts) {
-        (&self.0, self.1)
+    fn models(&self) -> &[PowerModel] {
+        std::slice::from_ref(&self.0)
+    }
+
+    fn level(&self) -> (usize, Volts) {
+        (0, self.1)
     }
 }
 
@@ -281,11 +289,20 @@ impl LevelPolicy for (PowerModel, Volts) {
 trait IntervalObserver {
     /// What the observer hands back once the last interval is observed.
     type Output;
-    /// The power model and supply voltage of the next interval.
-    fn level(&self) -> (&PowerModel, Volts);
+    /// What the observer needs of one trace interval's activity. It is
+    /// built once per trace interval, before the first one is stepped,
+    /// and read on every repeat.
+    type Terms: Copy;
+    /// The power models of the run's levels, in ladder order.
+    fn models(&self) -> &[PowerModel];
+    /// The next interval's level, as an index into
+    /// [`IntervalObserver::models`], and its supply voltage.
+    fn level(&self) -> (usize, Volts);
+    /// The terms of a trace interval whose activity is `factors`.
+    fn terms(&self, factors: &PerStructure<ActivityFactor>) -> Self::Terms;
     /// Observes interval `index` (counted across trace repeats): its
-    /// supply, its activity, and the structure temperatures its thermal
-    /// step reached.
+    /// supply, its activity's terms, and the structure temperatures its
+    /// thermal step reached.
     ///
     /// # Errors
     ///
@@ -295,7 +312,7 @@ trait IntervalObserver {
         &mut self,
         index: u64,
         vdd: Volts,
-        factors: &PerStructure<ActivityFactor>,
+        terms: &Self::Terms,
         temps: &PerStructure<Kelvin>,
     ) -> Result<(), RampError>;
     /// Ends the second pass.
@@ -305,41 +322,38 @@ trait IntervalObserver {
 /// A priced run's observer: each interval is priced once, its rates go
 /// to the rate accumulator and the level policy, and every `stride`-th
 /// interval's temperatures to the thermal trace when one is recorded.
-///
-/// Every trace repeat replays the same activity trace, so the activity
-/// terms of each trace interval are built in the first repeat (`index <
-/// trace_intervals`) and read at `index % trace_intervals` on every later
-/// one. The table lives and dies with this run.
+/// Its terms are EM's activity terms of each trace interval.
 struct Priced<P> {
     policy: P,
     rates: RateAccumulator,
-    activity_terms: Vec<ActivityTerms>,
-    trace_intervals: u64,
     thermal_trace: Option<Vec<PerStructure<Kelvin>>>,
     stride: u64,
 }
 
 impl<P: LevelPolicy> IntervalObserver for Priced<P> {
     type Output = (AveragedRates, Option<Vec<PerStructure<Kelvin>>>, P);
+    type Terms = ActivityTerms;
 
-    fn level(&self) -> (&PowerModel, Volts) {
+    fn models(&self) -> &[PowerModel] {
+        self.policy.models()
+    }
+
+    fn level(&self) -> (usize, Volts) {
         self.policy.level()
+    }
+
+    fn terms(&self, factors: &PerStructure<ActivityFactor>) -> ActivityTerms {
+        ActivityTerms::new(self.rates.prepared(), factors)
     }
 
     fn observe(
         &mut self,
         index: u64,
         vdd: Volts,
-        factors: &PerStructure<ActivityFactor>,
+        terms: &ActivityTerms,
         temps: &PerStructure<Kelvin>,
     ) -> Result<(), RampError> {
         let prepared = self.rates.prepared();
-        if index < self.trace_intervals {
-            self.activity_terms
-                .push(ActivityTerms::new(prepared, factors));
-        }
-        // ramp-lint:allow(panic-reach) -- the first repeat pushed one entry per trace interval, and the slot is below that count
-        let terms = &self.activity_terms[(index % self.trace_intervals) as usize];
         let rates = prepared.price_interval(terms, &PerStructure([vdd; Structure::COUNT]), temps);
         if let Some((mechanism, structure, rate)) = rates.first_invalid() {
             return Err(RampError::InvalidRate {
@@ -366,26 +380,119 @@ impl<P: LevelPolicy> IntervalObserver for Priced<P> {
 
 /// A power-only run's observer: the node's nominal level in every
 /// interval, and nothing observed.
-struct Unpriced(PowerModel, Volts);
+struct Unpriced((PowerModel, Volts));
 
 impl IntervalObserver for Unpriced {
     type Output = ();
+    type Terms = ();
 
-    fn level(&self) -> (&PowerModel, Volts) {
-        (&self.0, self.1)
+    fn models(&self) -> &[PowerModel] {
+        self.0.models()
     }
+
+    fn level(&self) -> (usize, Volts) {
+        self.0.level()
+    }
+
+    fn terms(&self, _factors: &PerStructure<ActivityFactor>) {}
 
     fn observe(
         &mut self,
         _index: u64,
         _vdd: Volts,
-        _factors: &PerStructure<ActivityFactor>,
+        _terms: &(),
         _temps: &PerStructure<Kelvin>,
     ) -> Result<(), RampError> {
         Ok(())
     }
 
     fn finish(self) {}
+}
+
+/// One trace interval at one level: what the second pass reads of it on
+/// every repeat. Both parts depend on the level and the interval's
+/// activity alone, never on a temperature, which is what lets a run
+/// build them before its first interval.
+struct IntervalRecord<T> {
+    /// The dynamic half of the interval's power sample at the level.
+    dynamic: DynamicSample,
+    /// The observer's terms of the interval's activity.
+    terms: T,
+}
+
+/// The per-run table of the second pass: what every interval reads
+/// instead of recomputing it on each trace repeat.
+///
+/// Only (level, activity) can enter it. Its records are built from a
+/// level's power model and a trace interval's activity factors, and its
+/// leakage models hold each structure's temperature-independent term; no
+/// temperature, supply or interval index reaches either. So a record is
+/// valid on every repeat and under any sequence of levels, and an
+/// interval's power is the bits of its level's `PowerModel::sample`. The
+/// table lives and dies with one run.
+struct RunTable<T> {
+    /// Each level's leakage model with its constant term computed.
+    leakage: Vec<PreparedLeakage>,
+    /// One record per level for each trace interval, in trace order,
+    /// each interval's in level order.
+    records: Vec<IntervalRecord<T>>,
+}
+
+impl<T: Copy> RunTable<T> {
+    /// The table of `observer`'s levels over `activity`.
+    ///
+    /// # Errors
+    ///
+    /// [`RampError::InvalidConfiguration`] when the observer has no
+    /// level.
+    fn build<O: IntervalObserver<Terms = T>>(
+        observer: &O,
+        activity: &ActivityTrace,
+    ) -> Result<Self, RampError> {
+        let models = observer.models();
+        if models.is_empty() {
+            return Err(RampError::InvalidConfiguration(
+                "a level policy needs at least one level".into(),
+            ));
+        }
+        let mut records = Vec::with_capacity(activity.intervals().len() * models.len());
+        for interval in activity.intervals() {
+            let terms = observer.terms(&interval.factors);
+            records.extend(models.iter().map(|model| IntervalRecord {
+                dynamic: model.dynamic_sample(&interval.factors),
+                terms,
+            }));
+        }
+        Ok(RunTable {
+            leakage: models.iter().map(|model| model.leakage().prepare()).collect(),
+            records,
+        })
+    }
+
+    /// One trace's records, one level-ordered slice per trace interval.
+    fn intervals(&self) -> std::slice::ChunksExact<'_, IntervalRecord<T>> {
+        self.records.chunks_exact(self.leakage.len())
+    }
+
+    /// The power sample of the trace interval whose records are
+    /// `records` at `level`, with the structures at `temps`, and the
+    /// interval's record at that level: the bits of the level's
+    /// [`PowerModel::sample`]. `None` when `level` is not one of the
+    /// table's.
+    fn sample<'a>(
+        &self,
+        records: &'a [IntervalRecord<T>],
+        level: usize,
+        temps: &PerStructure<Kelvin>,
+    ) -> Option<(PowerSample, &'a IntervalRecord<T>)> {
+        let leakage = self.leakage.get(level)?;
+        let record = records.get(level)?;
+        let sample = PowerSample {
+            dynamic: *record.dynamic.per_structure(),
+            leakage: leakage.power(temps),
+        };
+        Some((sample, record))
+    }
 }
 
 /// First pass: power ↔ steady-state-temperature fixed point. Returns the
@@ -481,8 +588,6 @@ pub(crate) fn run_app_filling_intervals<P: LevelPolicy>(
         Ok(Priced {
             policy: levels(power)?,
             rates: RateAccumulator::new(models, *node),
-            activity_terms: Vec::with_capacity(trace_intervals),
-            trace_intervals: trace_intervals as u64,
             thermal_trace: cfg
                 .record_thermal_trace
                 .then(|| Vec::with_capacity(intervals.div_ceil(stride as usize))),
@@ -518,7 +623,7 @@ pub(crate) fn average_power(
     node: &TechNode,
     cfg: &PipelineConfig,
 ) -> Result<Watts, RampError> {
-    let nominal = |power, _intervals| Ok(Unpriced(power, node.vdd));
+    let nominal = |power, _intervals| Ok(Unpriced((power, node.vdd)));
     run_stages(profile, node, cfg, None, &[], nominal)
         .map(|(stages, ())| stages.avg_dynamic + stages.avg_leakage)
 }
@@ -611,10 +716,12 @@ fn run_stages<O: IntervalObserver>(
     // ---- Second pass: transient + the observer's per-interval work -------
     let second_pass_span = ramp_obs::span!("second_pass");
     let mut observer = observer(power, activity.intervals().len())?;
+    let table = RunTable::build(&observer, activity)?;
     let mut state = initial;
     let mut dyn_sum = 0.0;
     let mut leak_sum = 0.0;
     let mut samples = 0u64;
+    let mut stepped = 0u64;
     let stride = u64::from(cfg.thermal_trace_stride);
     let trace_events = ramp_obs::enabled(ramp_obs::Level::Trace, "ramp_core::pipeline::thermal");
     // Time compression: each 1 µs sampling interval advances the thermal
@@ -625,26 +732,43 @@ fn run_stages<O: IntervalObserver>(
     let substeps = (total_dt / stable).ceil().max(1.0) as u32;
     let dt = Seconds::new(total_dt / f64::from(substeps))
         .expect("positive sub-step duration"); // ramp-lint:allow(panic-hygiene) -- substeps >= 1 keeps dt positive
-    for _ in 0..cfg.trace_repeats {
-        for interval in activity.intervals() {
-            let (power, vdd) = observer.level();
-            let sample = power.sample(&interval.factors, &state.structures);
-            state = sim.step_many(&state, &sample.per_structure_total(), dt, substeps);
-            observer.observe(samples, vdd, &interval.factors, &state.structures)?;
-            if trace_events && samples.is_multiple_of(stride) {
-                let (hot, hot_temp) = state.hottest();
-                ramp_obs::trace!(
-                    target: "ramp_core::pipeline::thermal",
-                    "interval={samples} hottest={hot} t_hot={:.3}K sink={:.3}K",
-                    hot_temp.value(),
-                    state.sink.value()
-                );
+    // Each interval's power is its level's table record plus the leakage
+    // at the temperatures the previous interval reached: the bits of
+    // `PowerModel::sample`. The thermal metrics are recorded once, for
+    // every interval stepped, also when an interval's rates are invalid.
+    let mut walk = || -> Result<(), RampError> {
+        for _ in 0..cfg.trace_repeats {
+            for records in table.intervals() {
+                let (level, vdd) = observer.level();
+                let Some((sample, record)) = table.sample(records, level, &state.structures)
+                else {
+                    return Err(RampError::InvalidConfiguration(format!(
+                        "level {level} is outside the policy's {} levels",
+                        table.leakage.len()
+                    )));
+                };
+                state = sim.advance(&state, &sample.per_structure_total(), dt, substeps);
+                stepped += 1;
+                observer.observe(samples, vdd, &record.terms, &state.structures)?;
+                if trace_events && samples.is_multiple_of(stride) {
+                    let (hot, hot_temp) = state.hottest();
+                    ramp_obs::trace!(
+                        target: "ramp_core::pipeline::thermal",
+                        "interval={samples} hottest={hot} t_hot={:.3}K sink={:.3}K",
+                        hot_temp.value(),
+                        state.sink.value()
+                    );
+                }
+                dyn_sum += record.dynamic.total().value();
+                leak_sum += sample.leakage_total().value();
+                samples += 1;
             }
-            dyn_sum += sample.dynamic_total().value();
-            leak_sum += sample.leakage_total().value();
-            samples += 1;
         }
-    }
+        Ok(())
+    };
+    let walked = walk();
+    sim.record_intervals(stepped, substeps);
+    walked?;
     let observed = observer.finish();
     let second_pass_elapsed = second_pass_span.finish();
     let timings = StageTimings {
@@ -837,6 +961,101 @@ mod tests {
         assert_eq!(mechanism, crate::mechanisms::MechanismKind::Em);
         assert!(rate.is_infinite());
         assert!(err.to_string().contains("EM rate of"), "{err}");
+    }
+
+    /// A three-level policy that stays at its fastest level.
+    struct Ladder(Vec<PowerModel>, Volts);
+
+    impl LevelPolicy for Ladder {
+        fn models(&self) -> &[PowerModel] {
+            &self.0
+        }
+
+        fn level(&self) -> (usize, Volts) {
+            (0, self.1)
+        }
+    }
+
+    /// gzip's activity at 90 nm, the nominal power model, a priced
+    /// observer over the standard DVS ladder, and its run table.
+    fn gzip_table() -> (ActivityTrace, Priced<Ladder>, RunTable<ActivityTerms>) {
+        let node = TechNode::get(NodeId::N90);
+        let cfg = PipelineConfig::quick();
+        let profile = spec::profile("gzip").unwrap();
+        let activity = ramp_microarch::simulate(
+            &MachineConfig::power4_180nm(),
+            ramp_trace::TraceGenerator::new(&profile),
+            SimulationLength::Instructions(20_000),
+            interval_cycles(&node),
+        )
+        .activity;
+        let models = DvsLevel::standard_ladder(&node)
+            .into_iter()
+            .map(|level| power_model(&profile, &node, &cfg, level).unwrap())
+            .collect();
+        let observer = Priced {
+            policy: Ladder(models, node.vdd),
+            rates: RateAccumulator::new(&MechanismSet::default(), node),
+            thermal_trace: None,
+            stride: 1,
+        };
+        let table = RunTable::build(&observer, &activity).unwrap();
+        (activity, observer, table)
+    }
+
+    #[test]
+    fn run_table_samples_are_each_levels_model_samples() {
+        let (activity, observer, table) = gzip_table();
+        let models = observer.models();
+        assert_eq!(table.intervals().len(), activity.intervals().len());
+        for (records, interval) in table.intervals().zip(activity.intervals()) {
+            let terms = ActivityTerms::new(observer.rates.prepared(), &interval.factors);
+            let temps = PerStructure::from_fn(|s| {
+                Kelvin::new(340.0 + 2.5 * s.index() as f64 + interval.retired as f64 * 1e-3)
+                    .unwrap()
+            });
+            for (level, model) in models.iter().enumerate() {
+                let (sample, record) = table.sample(records, level, &temps).unwrap();
+                let expected = model.sample(&interval.factors, &temps);
+                assert_eq!(sample, expected, "level {level}");
+                assert_eq!(
+                    record.dynamic.total().value().to_bits(),
+                    expected.dynamic_total().value().to_bits()
+                );
+                assert_eq!(record.terms, terms);
+            }
+            assert!(table.sample(records, models.len(), &temps).is_none());
+        }
+    }
+
+    #[test]
+    fn warm_table_reads_and_steps_allocate_nothing() {
+        let (_activity, mut observer, table) = gzip_table();
+        let node = TechNode::get(NodeId::N90);
+        let sim = ThermalSimulator::new(node.core_area(), PipelineConfig::quick().thermal).unwrap();
+        let dt = Seconds::new(1e-6).unwrap();
+        let mut state = ThermalState::uniform(Kelvin::new_const(345.0));
+        let mut index = 0;
+        let mut repeat = |state: &mut ThermalState, observer: &mut Priced<Ladder>| {
+            for records in table.intervals() {
+                let level = index as usize % table.leakage.len();
+                let (sample, record) = table.sample(records, level, &state.structures).unwrap();
+                *state = sim.advance(state, &sample.per_structure_total(), dt, 3);
+                observer.observe(index, node.vdd, &record.terms, &state.structures).unwrap();
+                index += 1;
+            }
+        };
+        repeat(&mut state, &mut observer);
+
+        ramp_obs::set_alloc_tracking(true);
+        let before = ramp_obs::thread_alloc_snapshot();
+        repeat(&mut state, &mut observer);
+        let after = ramp_obs::thread_alloc_snapshot();
+        ramp_obs::set_alloc_tracking(false);
+
+        let allocs = after.allocs.saturating_sub(before.allocs);
+        assert_eq!(allocs, 0, "a warm repeat allocated {allocs} times");
+        assert!(index > 2 * table.leakage.len() as u64);
     }
 
     #[test]

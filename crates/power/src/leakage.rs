@@ -69,22 +69,36 @@ impl LeakageModel {
     #[must_use]
     // ramp-lint:allow(unit-safety) -- dimensionless leakage multiplier
     pub fn temperature_factor(&self, t: Kelvin) -> f64 {
-        (self.beta * (t - LEAKAGE_REFERENCE_TEMP)).exp()
+        temperature_factor(self.beta, t)
+    }
+
+    /// Leakage power of one structure at the reference temperature: the
+    /// density times the structure's floorplan share of the core area.
+    fn at_reference(&self, s: Structure) -> Watts {
+        self.density_at_ref * self.core_area.scaled(s.area_fraction())
     }
 
     /// Leakage power of one structure at temperature `t`, using the
     /// floorplan area fractions.
     #[must_use]
     pub fn structure_power(&self, s: Structure, t: Kelvin) -> Watts {
-        let area = self.core_area.scaled(s.area_fraction());
-        (self.density_at_ref * area).scaled(self.temperature_factor(t))
+        self.at_reference(s).scaled(self.temperature_factor(t))
     }
 
     /// Per-structure leakage for a full temperature map.
     #[must_use]
     pub fn power(&self, temps: &PerStructure<Kelvin>) -> PerStructure<Watts> {
-        // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-        PerStructure::from_fn(|s| self.structure_power(s, temps[s]))
+        self.prepare().power(temps)
+    }
+
+    /// The model with its temperature-independent term computed once:
+    /// each structure's leakage at the reference temperature.
+    #[must_use]
+    pub fn prepare(&self) -> PreparedLeakage {
+        PreparedLeakage {
+            at_reference: PerStructure::from_fn(|s| self.at_reference(s)),
+            beta: self.beta,
+        }
     }
 
     /// Total leakage at a uniform temperature.
@@ -97,6 +111,36 @@ impl LeakageModel {
     #[must_use]
     pub fn core_area(&self) -> SquareMillimeters {
         self.core_area
+    }
+}
+
+/// `e^{β (T − 383)}`, the one leakage-temperature formula.
+fn temperature_factor(beta: f64, t: Kelvin) -> f64 {
+    (beta * (t - LEAKAGE_REFERENCE_TEMP)).exp()
+}
+
+/// A [`LeakageModel`] whose temperature-independent term, each
+/// structure's `density × area` at the reference temperature, is computed
+/// once ([`LeakageModel::prepare`]). Only the temperature factor is left
+/// per call, so a run that samples leakage every interval pays the seven
+/// products once. [`PreparedLeakage::power`] multiplies the same products
+/// by the same factors as [`LeakageModel::structure_power`], so the bits
+/// are the model's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedLeakage {
+    at_reference: PerStructure<Watts>,
+    beta: f64,
+}
+
+impl PreparedLeakage {
+    /// Per-structure leakage for a full temperature map.
+    #[must_use]
+    pub fn power(&self, temps: &PerStructure<Kelvin>) -> PerStructure<Watts> {
+        let mut power = self.at_reference;
+        for (p, &t) in power.0.iter_mut().zip(temps.as_array()) {
+            *p = p.scaled(temperature_factor(self.beta, t));
+        }
+        power
     }
 }
 
@@ -132,6 +176,18 @@ mod tests {
         let temps = PerStructure::from_fn(|_| t);
         let sum: Watts = m.power(&temps).as_array().iter().copied().sum();
         assert!((sum.value() - m.total(t).value()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn prepared_power_is_the_models_bit_for_bit() {
+        let m = model();
+        let prepared = m.prepare();
+        let temps = PerStructure::from_fn(|s| Kelvin::new(330.0 + 7.3 * s.index() as f64).unwrap());
+        let power = prepared.power(&temps);
+        for (s, p) in power.iter() {
+            assert_eq!(p.value().to_bits(), m.structure_power(s, temps[s]).value().to_bits());
+        }
+        assert_eq!(m.power(&temps), power);
     }
 
     #[test]

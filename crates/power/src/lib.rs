@@ -41,5 +41,5 @@ mod model;
 pub use budget::StructureBudgets;
 pub use feedback::FeedbackTracker;
 pub use dynamic::{DynamicPowerModel, DynamicScaling};
-pub use leakage::{LeakageModel, DEFAULT_BETA, LEAKAGE_REFERENCE_TEMP};
-pub use model::{PowerModel, PowerSample};
+pub use leakage::{LeakageModel, PreparedLeakage, DEFAULT_BETA, LEAKAGE_REFERENCE_TEMP};
+pub use model::{DynamicSample, PowerModel, PowerSample};

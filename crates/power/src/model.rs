@@ -31,19 +31,48 @@ impl PowerSample {
     /// Total dynamic power.
     #[must_use]
     pub fn dynamic_total(&self) -> Watts {
-        self.dynamic.as_array().iter().copied().sum()
+        total(&self.dynamic)
     }
 
     /// Total leakage power.
     #[must_use]
     pub fn leakage_total(&self) -> Watts {
-        self.leakage.as_array().iter().copied().sum()
+        total(&self.leakage)
     }
 
     /// Total chip power.
     #[must_use]
     pub fn total(&self) -> Watts {
         self.dynamic_total() + self.leakage_total()
+    }
+}
+
+/// The sum of per-structure powers, in structure order.
+fn total(powers: &PerStructure<Watts>) -> Watts {
+    powers.as_array().iter().copied().sum()
+}
+
+/// The activity-only half of a [`PowerSample`]: one interval's dynamic
+/// power per structure and its total ([`PowerModel::dynamic_sample`]).
+/// It depends on the model and the activity factors alone, so a run that
+/// replays an activity trace can build it once per trace interval.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DynamicSample {
+    per_structure: PerStructure<Watts>,
+    total: Watts,
+}
+
+impl DynamicSample {
+    /// Dynamic power per structure: [`PowerSample::dynamic`].
+    #[must_use]
+    pub fn per_structure(&self) -> &PerStructure<Watts> {
+        &self.per_structure
+    }
+
+    /// Total dynamic power: [`PowerSample::dynamic_total`].
+    #[must_use]
+    pub fn total(&self) -> Watts {
+        self.total
     }
 }
 
@@ -105,21 +134,42 @@ impl PowerModel {
     /// Computes one interval's power from activity factors and the
     /// structure temperatures of the *previous* interval (the
     /// leakage-temperature feedback loop of the paper's methodology).
+    ///
+    /// It is the two halves a replaying run can split: the dynamic half
+    /// ([`PowerModel::dynamic_sample`]) depends on activity alone, and
+    /// the leakage half on temperature alone ([`LeakageModel::power`],
+    /// or [`crate::PreparedLeakage::power`] with the constant term
+    /// computed once).
     #[must_use]
     pub fn sample(
         &self,
         activity: &PerStructure<ActivityFactor>,
         temps: &PerStructure<Kelvin>,
     ) -> PowerSample {
-        let mut dynamic = self.dynamic.power(activity);
-        for s in ramp_microarch::Structure::ALL {
-            // ramp-lint:allow(panic-reach) -- enum-indexed `PerStructure` is total
-            dynamic[s] = dynamic[s].scaled(self.residual);
-        }
         PowerSample {
-            dynamic,
+            dynamic: self.dynamic_power(activity),
             leakage: self.leakage.power(temps),
         }
+    }
+
+    /// The dynamic half of [`PowerModel::sample`] with its total, the
+    /// same bits as the sample's `dynamic` and `dynamic_total()`.
+    #[must_use]
+    pub fn dynamic_sample(&self, activity: &PerStructure<ActivityFactor>) -> DynamicSample {
+        let per_structure = self.dynamic_power(activity);
+        DynamicSample {
+            total: total(&per_structure),
+            per_structure,
+        }
+    }
+
+    /// Per-structure dynamic power, the residual applied.
+    fn dynamic_power(&self, activity: &PerStructure<ActivityFactor>) -> PerStructure<Watts> {
+        let mut dynamic = self.dynamic.power(activity);
+        for p in &mut dynamic.0 {
+            *p = p.scaled(self.residual);
+        }
+        dynamic
     }
 
     /// The dynamic sub-model.
@@ -202,6 +252,21 @@ mod tests {
         let hot = model(1.0).sample(&a, &uniform_temp(380.0));
         assert!(hot.leakage_total().value() > cool.leakage_total().value());
         assert_eq!(hot.dynamic_total(), cool.dynamic_total());
+    }
+
+    #[test]
+    fn split_halves_rebuild_the_sample_bit_for_bit() {
+        let m = model(0.93);
+        let a = PerStructure::from_fn(|s| ActivityFactor::new(0.05 + 0.13 * s.index() as f64).unwrap());
+        let t = PerStructure::from_fn(|s| Kelvin::new(341.0 + 3.7 * s.index() as f64).unwrap());
+        let sample = m.sample(&a, &t);
+        let dynamic = m.dynamic_sample(&a);
+        let rebuilt = PowerSample {
+            dynamic: *dynamic.per_structure(),
+            leakage: m.leakage().prepare().power(&t),
+        };
+        assert_eq!(rebuilt, sample);
+        assert_eq!(dynamic.total().value().to_bits(), sample.dynamic_total().value().to_bits());
     }
 
     #[test]

@@ -151,13 +151,36 @@ impl ThermalSimulator {
         dt: Seconds,
         substeps: u32,
     ) -> ThermalState {
-        self.substeps_hist.observe(f64::from(substeps));
-        self.transient_steps.add(u64::from(substeps));
+        self.record_intervals(1, substeps);
+        self.advance(state, powers, dt, substeps)
+    }
+
+    /// [`ThermalSimulator::step_many`] without its metric writes: the
+    /// same `substeps` transient steps, bit for bit, recording nothing. A
+    /// caller that steps many intervals records them all at once with
+    /// [`ThermalSimulator::record_intervals`].
+    #[must_use]
+    pub fn advance(
+        &self,
+        state: &ThermalState,
+        powers: &PerStructure<Watts>,
+        dt: Seconds,
+        substeps: u32,
+    ) -> ThermalState {
         let mut current = *state;
         for _ in 0..substeps {
             current = self.network.step(&current, powers, dt);
         }
         current
+    }
+
+    /// Records `intervals` intervals of `substeps` steps each: the
+    /// metrics `intervals` calls of [`ThermalSimulator::step_many`] would
+    /// record, with the same totals (the values are integers, so one
+    /// `substeps × intervals` addition is exact).
+    pub fn record_intervals(&self, intervals: u64, substeps: u32) {
+        self.substeps_hist.observe_n(f64::from(substeps), intervals);
+        self.transient_steps.add(intervals * u64::from(substeps));
     }
 
     /// Convenience: the sink temperature the first pass would produce.

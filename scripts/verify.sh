@@ -134,19 +134,23 @@ echo "== benchmark smoke: every workload builds, runs and checks its output =="
 # The repo benchmark (benchmark/, see BENCHMARK.json) is a separate
 # package on path deps: build it against the current crates, then run
 # each workload briefly. Its last line is a JSON record whose "correct"
-# field is the workload's own output check (digest, canary, failures).
+# field is the workload's own output check (digest, canary, failures);
+# the printed *_digest: lines must also equal the ones recorded for the
+# seed in scripts/benchmark-digests.txt.
 # --seconds 3, not 1: serve_mix needs >=400 requests for one window.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 for workload in study_5node study_1node_long fleet_population serve_mix; do
     echo "-- ${workload}"
-    last=$(cargo run --quiet --release --offline --locked \
+    output=$(cargo run --quiet --release --offline --locked \
         --manifest-path benchmark/Cargo.toml -- \
-        --workload "${workload}" --seconds 3 | tail -n 1)
+        --workload "${workload}" --seed 42 --seconds 3)
+    last=$(printf '%s\n' "${output}" | tail -n 1)
     echo "${last}"
     case "${last}" in
         *'"correct":true'*) ;;
         *) echo "benchmark smoke: ${workload} is not correct" >&2; exit 1 ;;
     esac
+    printf '%s\n' "${output}" | scripts/check-benchmark-digests.sh "${workload}"
 done
 
 echo "verify: OK"
