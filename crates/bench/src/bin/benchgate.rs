@@ -1,8 +1,10 @@
-//! Noise-aware benchmark gate over versioned `BENCH_<seq>.json` snapshots.
+//! Exact gate over versioned `BENCH_<seq>.json` snapshots: the results,
+//! population and alloc stage digests must match, and the peak live heap
+//! must stay within its budget. It measures no time.
 //!
 //! ```text
-//! benchgate --update                 # measure and append BENCH_<next>.json
-//! benchgate --against BENCH_0001.json # gate this tree against a baseline
+//! benchgate --update                 # run and append BENCH_<next>.json
+//! benchgate --against BENCH_0010.json # gate this tree against a baseline
 //! benchgate                          # gate against the latest snapshot
 //! ```
 //!
@@ -10,18 +12,15 @@
 //!
 //! * `--against <file>` — baseline snapshot to gate against.
 //! * `--update` — append a new snapshot instead of gating.
-//! * `--samples <K>` — measured samples (median-of-K; default 3).
-//! * `--smoke` — CI shape: K=1, no warmup, loose tolerances.
-//! * `--tolerance <f>` — override the stage budget multiplier.
 //! * `--dir <path>` — snapshot directory (default: current directory).
 //! * `--emit <file>` — also write the candidate snapshot (CI artifact).
 //!
 //! Exit codes: 0 = gate passed (or snapshot written), 1 = gate failed
-//! (per-stage delta report on stdout), 2 = usage or I/O error.
+//! (drift report on stdout), 2 = usage or I/O error.
 
 use ramp_bench::telemetry::{
-    capture_snapshot, compare, latest_snapshot, load_snapshot, next_seq, render_report,
-    run_reference_workload, save_snapshot, snapshot_file_name, GateConfig, HarnessOptions,
+    compare, latest_snapshot, load_snapshot, next_seq, reference_workload, render_report,
+    run_harness, save_snapshot, snapshot_file_name, FLEET_CHIPS,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,9 +28,6 @@ use std::process::ExitCode;
 struct Args {
     against: Option<PathBuf>,
     update: bool,
-    samples: Option<u32>,
-    smoke: bool,
-    tolerance: Option<f64>,
     dir: PathBuf,
     emit: Option<PathBuf>,
 }
@@ -40,9 +36,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         against: None,
         update: false,
-        samples: None,
-        smoke: false,
-        tolerance: None,
         dir: PathBuf::from("."),
         emit: None,
     };
@@ -55,21 +48,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--against" => args.against = Some(PathBuf::from(value("--against")?)),
             "--update" => args.update = true,
-            "--samples" => {
-                args.samples = Some(
-                    value("--samples")?
-                        .parse()
-                        .map_err(|e| format!("--samples: {e}"))?,
-                );
-            }
-            "--smoke" => args.smoke = true,
-            "--tolerance" => {
-                args.tolerance = Some(
-                    value("--tolerance")?
-                        .parse()
-                        .map_err(|e| format!("--tolerance: {e}"))?,
-                );
-            }
             "--dir" => args.dir = PathBuf::from(value("--dir")?),
             "--emit" => args.emit = Some(PathBuf::from(value("--emit")?)),
             other => return Err(format!("unknown flag {other:?} (see the module docs)")),
@@ -90,45 +68,25 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut opts = if args.smoke {
-        HarnessOptions::smoke()
-    } else {
-        HarnessOptions::default()
-    };
-    if let Some(k) = args.samples {
-        opts.samples = k.max(1);
-    }
-    let mut gate = if args.smoke {
-        GateConfig::smoke()
-    } else {
-        GateConfig::standard()
-    };
-    if let Some(t) = args.tolerance {
-        gate.tolerance = t;
-    }
-
     eprintln!(
-        "benchgate: measuring reference workload (median of {} sample{}{})...",
-        opts.samples,
-        if opts.samples == 1 { "" } else { "s" },
-        if opts.warmup { " after warmup" } else { "" },
+        "benchgate: running the reference workload, a {FLEET_CHIPS}-chip fleet and the alloc pass..."
     );
-    let measurement = match run_reference_workload(&opts) {
-        Ok(m) => m,
+    let (mut candidate, _) = match run_harness(&reference_workload()) {
+        Ok(run) => run,
         Err(e) => {
             eprintln!("benchgate: {e}");
             return ExitCode::from(2);
         }
     };
     eprintln!(
-        "benchgate: {:.2}s median wall, cache hit rate {:.0}%, results digest {}",
-        measurement.total.median_seconds,
-        measurement.cache.hit_rate * 100.0,
-        measurement.numerics.results_digest,
+        "benchgate: results digest {}, population digest {}, alloc digest {} ({} allocs)",
+        candidate.numerics.results_digest,
+        candidate.fleet.population_digest,
+        candidate.alloc.stage_digest,
+        candidate.alloc.allocs,
     );
 
     if let Some(path) = &args.emit {
-        let candidate = capture_snapshot(&measurement, 0);
         if let Err(e) = save_snapshot(&candidate, path) {
             eprintln!("benchgate: --emit: {e}");
             return ExitCode::from(2);
@@ -139,8 +97,8 @@ fn main() -> ExitCode {
     if args.update {
         let seq = next_seq(&args.dir);
         let path = args.dir.join(snapshot_file_name(seq));
-        let snapshot = capture_snapshot(&measurement, seq);
-        if let Err(e) = save_snapshot(&snapshot, &path) {
+        candidate.seq = seq;
+        if let Err(e) = save_snapshot(&candidate, &path) {
             eprintln!("benchgate: {e}");
             return ExitCode::from(2);
         }
@@ -169,7 +127,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let report = compare(&baseline, &measurement, &gate);
+    let report = compare(&baseline, &candidate);
     print!("{}", render_report(&report));
     if report.passed() {
         ExitCode::SUCCESS

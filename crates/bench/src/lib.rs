@@ -13,7 +13,8 @@
 //!
 //! The other binaries: `ablations` (design-choice ablations, DESIGN.md
 //! §6), `sensitivity`, `calibrate` (refit the workload-profile knobs),
-//! `trace`, `benchgate`/`benchtrend`, `fleet` and `serve_load`.
+//! `trace`, `benchgate` (the exact digest gate over `BENCH_<seq>.json`,
+//! see [`telemetry`]), `fleet` and `serve_load`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

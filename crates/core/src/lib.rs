@@ -64,7 +64,7 @@ mod tech;
 pub use error::RampError;
 pub use executor::{Executor, THREADS_ENV};
 pub use manifest::{
-    config_digest, fnv1a_hex, metric_entries_from_snapshot, results_digest, BenchSection,
+    config_digest, fnv1a_hex, metric_entries_from_snapshot, results_digest,
     CacheClassEntry, ManifestCacheStats, MetricEntry, Provenance, RunManifest, StageNode,
     MANIFEST_SCHEMA_VERSION,
 };

@@ -20,9 +20,8 @@ use serde::{Deserialize, Serialize};
 /// Manifest schema version, bumped on incompatible field changes.
 ///
 /// v2 added execution provenance (host, OS, CPU count, git revision) and
-/// the optional benchmark section used by the `benchgate` telemetry
-/// harness.
-pub const MANIFEST_SCHEMA_VERSION: u32 = 2;
+/// an optional benchmark-harness section; v3 removed that section again.
+pub const MANIFEST_SCHEMA_VERSION: u32 = 3;
 
 /// Where and on what a run executed — enough to interpret wall-clock
 /// numbers later. Captured once per process and cached.
@@ -82,18 +81,6 @@ fn git_rev() -> Option<String> {
     }
     let rev = String::from_utf8(out.stdout).ok()?.trim().to_string();
     (!rev.is_empty()).then_some(rev)
-}
-
-/// Benchmark-harness context for manifests captured inside a telemetry
-/// run (`benchgate`): which sample of how many this manifest describes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BenchSection {
-    /// Harness label, e.g. `"reference_workload"`.
-    pub label: String,
-    /// 1-based index of this sample.
-    pub sample: u32,
-    /// Total measured samples in the harness run.
-    pub samples: u32,
 }
 
 /// One node of the per-stage wall-clock tree (aggregated spans).
@@ -212,9 +199,6 @@ pub struct RunManifest {
     pub config_digest: String,
     /// Host/OS/git provenance of the capturing process.
     pub provenance: Provenance,
-    /// Benchmark-harness context, when this manifest came from a
-    /// telemetry sample (see [`RunManifest::with_benchmark`]).
-    pub benchmark: Option<BenchSection>,
     /// Worker threads the sweep used.
     pub threads: u64,
     /// (benchmark, node) runs evaluated.
@@ -334,7 +318,6 @@ impl RunManifest {
             created_unix_ms,
             config_digest: config_digest(config),
             provenance: Provenance::capture(),
-            benchmark: None,
             threads: metrics.threads as u64,
             runs: metrics.runs,
             wall_seconds: metrics.wall_seconds,
@@ -383,19 +366,6 @@ impl RunManifest {
         std::fs::write(path, json)
             .map_err(|e| RampError::Io(format!("{}: {e}", path.display())))?;
         Ok(())
-    }
-
-    /// Attaches the benchmark-harness section (builder style): this
-    /// manifest describes measured sample `sample` of `samples` in the
-    /// harness run labelled `label`.
-    #[must_use]
-    pub fn with_benchmark(mut self, label: &str, sample: u32, samples: u32) -> Self {
-        self.benchmark = Some(BenchSection {
-            label: label.to_string(),
-            sample,
-            samples,
-        });
-        self
     }
 
     /// Finds a stage by its full `/`-joined path anywhere in the tree.
@@ -504,18 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_section_roundtrips() {
-        let section = BenchSection {
-            label: "reference_workload".to_string(),
-            sample: 2,
-            samples: 5,
-        };
-        let json = serde_json::to_string(&section).unwrap();
-        let back: BenchSection = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, section);
-    }
-
-    #[test]
     fn fnv1a_is_stable_and_input_sensitive() {
         assert_eq!(fnv1a_hex(""), "cbf29ce484222325");
         assert_eq!(fnv1a_hex("abc"), fnv1a_hex("abc"));
@@ -528,7 +486,6 @@ mod tests {
             created_unix_ms: 0,
             config_digest: "deadbeefdeadbeef".to_string(),
             provenance: Provenance::capture(),
-            benchmark: None,
             threads: 1,
             runs: 1,
             wall_seconds: 0.5,

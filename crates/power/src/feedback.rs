@@ -98,12 +98,22 @@ impl FeedbackTracker {
 mod tests {
     use super::*;
 
+    /// Serializes every test that calls `finish()`: the `power.feedback.*`
+    /// metrics are process-wide, so a concurrent `finish()` would move
+    /// the counter `metrics_accumulate_across_runs` reads.
+    static FINISH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn finish_lock() -> std::sync::MutexGuard<'static, ()> {
+        FINISH.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn delta(v: f64) -> KelvinDelta {
         KelvinDelta::new(v).unwrap()
     }
 
     #[test]
     fn converges_when_delta_falls_below_tolerance() {
+        let _finish = finish_lock();
         let mut t = FeedbackTracker::new(delta(0.1));
         t.observe(delta(5.0));
         assert!(!t.converged());
@@ -115,6 +125,7 @@ mod tests {
 
     #[test]
     fn empty_run_does_not_converge() {
+        let _finish = finish_lock();
         let t = FeedbackTracker::new(delta(0.1));
         assert!(!t.converged());
         assert_eq!(t.last_delta(), None);
@@ -123,6 +134,7 @@ mod tests {
 
     #[test]
     fn metrics_accumulate_across_runs() {
+        let _finish = finish_lock();
         let before = ramp_obs::counter("power.feedback.runs").get();
         let mut t = FeedbackTracker::new(delta(1.0));
         t.observe(delta(0.5));

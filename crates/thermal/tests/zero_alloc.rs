@@ -12,11 +12,20 @@
 //! taxing every simulated microsecond.
 //!
 //! The test reads only the *calling thread's* allocation counters, so
-//! concurrent test threads cannot contaminate the measurement.
+//! concurrent test threads cannot contaminate the measurement. The
+//! tracking switch itself is process-wide, so the tests hold one lock
+//! around their windows: otherwise the first to finish would turn
+//! tracking off under the other and it would under-count.
 
 use ramp_microarch::PerStructure;
 use ramp_thermal::{ThermalParams, ThermalSimulator};
 use ramp_units::{Seconds, SquareMillimeters, Watts};
+
+/// Serializes the tracked windows (see the module docs).
+fn tracking_lock() -> std::sync::MutexGuard<'static, ()> {
+    static TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TOGGLE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 #[test]
 fn step_many_performs_zero_heap_allocations_after_warmup() {
@@ -36,6 +45,7 @@ fn step_many_performs_zero_heap_allocations_after_warmup() {
         state = sim.step_many(&state, &powers, dt, 4);
     }
 
+    let _tracking = tracking_lock();
     ramp_obs::set_alloc_tracking(true);
     let before = ramp_obs::thread_alloc_snapshot();
     for _ in 0..128 {
@@ -72,6 +82,7 @@ fn advance_and_recording_perform_zero_heap_allocations_after_warmup() {
     }
     sim.record_intervals(8, 4);
 
+    let _tracking = tracking_lock();
     ramp_obs::set_alloc_tracking(true);
     let before = ramp_obs::thread_alloc_snapshot();
     for _ in 0..128 {

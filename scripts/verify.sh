@@ -102,15 +102,16 @@ echo "== alloc smoke: tracking allocator on end to end =="
 RAMP_ALLOC=1 cargo run --release --locked -p ramp-bench --bin trace -- \
     --check --out target/trace-alloc-smoke.json
 
-echo "== benchmark gate: smoke run against the checked-in baseline =="
-# Measures the reference workload once (K=1, loose tolerances) and gates
-# it against the latest BENCH_<seq>.json: exact numerical-digest match,
-# exact per-stage allocation-count digest from the single-threaded alloc
-# pass, peak-live-bytes budget, advisory wall-clock budgets. A failure
-# here means the simulation's numbers drifted, a pipeline stage
+echo "== benchmark gate: exact digests against the checked-in baseline =="
+# Runs the reference workload once, a 100k-chip fleet and the
+# single-threaded alloc pass, and gates them against the latest
+# BENCH_<seq>.json: exact results digest, exact population digest, exact
+# per-stage allocation-count digest, and peak live bytes within 1.5x of
+# the baseline. Nothing is timed. A failure here means the simulation's
+# numbers or the fleet population drifted, a pipeline stage appeared or
 # disappeared, or the allocation profile changed.
 cargo run --release --locked -p ramp-bench --bin benchgate -- \
-    --smoke --emit target/bench-candidate.json
+    --emit target/bench-candidate.json
 
 echo "== fleet smoke: population determinism + quantile artifact =="
 # A 50k-chip population Monte Carlo per node, then byte-determinism
