@@ -14,7 +14,7 @@
 //! The other binaries: `ablations` (design-choice ablations, DESIGN.md
 //! §6), `sensitivity`, `calibrate` (refit the workload-profile knobs),
 //! `trace`, `benchgate` (the exact digest gate over `BENCH_<seq>.json`,
-//! see [`telemetry`]), `fleet` and `serve_load`.
+//! see [`telemetry`]) and `fleet`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -8,12 +8,10 @@
 //! *this* node" continuously. This crate is that server:
 //!
 //! * **Protocol** ([`protocol`]): newline-delimited JSON requests and
-//!   responses. One request per line, one response line per request, so
-//!   any byte pipe is a valid transport.
-//! * **Transports** ([`transport`]): an in-process channel pair (used by
-//!   tests and CI — no network anywhere) and a unix domain socket for
-//!   out-of-process clients. Both feed the same [`Server::handle_line`]
-//!   core, so behaviour is transport-independent.
+//!   responses. One request per line, one response line per request.
+//! * **One entry point**: [`Server::handle_line`] takes a request line
+//!   and returns the response line. The server is in-process only; a
+//!   caller that wants concurrency calls it from its own threads.
 //! * **Coalescing broker** ([`broker`]): requests sharing a config
 //!   digest (see [`ramp_core::QueryEngine::cache_key`]) join the same
 //!   in-flight pipeline execution instead of recomputing — N identical
@@ -42,7 +40,6 @@ pub mod broker;
 pub mod cache;
 pub mod protocol;
 pub mod server;
-pub mod transport;
 
 pub use broker::{Broker, Flight, Role};
 pub use cache::{CacheConfig, CacheStats, ShardedCache};
@@ -51,7 +48,6 @@ pub use protocol::{
     ServerStats, TraceBody, TraceSpanBody, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServeOptions};
-pub use transport::{ChannelConnection, Connection, InProcClient, UnixServer};
 
 use ramp_core::RampError;
 

@@ -1,5 +1,5 @@
 //! The server core: admission control, the batching dispatcher, and the
-//! transport-independent request handler.
+//! request handler.
 //!
 //! Life of a query:
 //!
@@ -204,9 +204,9 @@ impl LatencyRecorder {
     }
 }
 
-/// Shared state behind every connection and the dispatcher.
+/// Shared state behind every caller and the dispatcher.
 #[derive(Debug)]
-pub(crate) struct ServerState {
+struct ServerState {
     engine: QueryEngine,
     cache: ShardedCache,
     broker: Broker,
@@ -423,12 +423,12 @@ impl ServerState {
         })
     }
 
-    /// The transport-independent core: one request line in, one response
-    /// line out. When causal tracing is on, the whole request runs under
+    /// The request handler: one request line in, one response line out.
+    /// When causal tracing is on, the whole request runs under
     /// a fresh per-request trace (seeded from the arrival sequence number
     /// and the request bytes) whose id is recorded as a latency exemplar
     /// and retained for the `trace` endpoint.
-    pub(crate) fn handle_line(&self, line: &str) -> String {
+    fn handle_line(&self, line: &str) -> String {
         let req_seq = self.stats.requests.fetch_add(1, Ordering::Relaxed);
         ramp_obs::counter("serve.requests").incr();
         let request = match Request::parse(line) {
@@ -638,9 +638,9 @@ impl ServerState {
 ///
 /// Owns the dispatcher thread; dropping the server (or calling
 /// [`Server::shutdown`]) closes admission, drains the queue, and joins
-/// the dispatcher. Connections are served by whatever threads the
-/// transports spawn — all of them funnel into
-/// [`Server::handle_line`].
+/// the dispatcher. Callers reach it only through
+/// [`Server::handle_line`], from as many threads of their own as they
+/// like.
 ///
 /// # Examples
 ///
@@ -651,8 +651,8 @@ impl ServerState {
 /// let config = StudyConfig::quick().with_benchmarks(&["gzip"])?;
 /// let engine = QueryEngine::calibrate(&config)?;
 /// let server = Server::start(engine, ServeOptions::default());
-/// let client = server.connect();
-/// let response = client.request(&Request::query(1, "gzip", "180nm")).unwrap();
+/// let line = server.handle_line(&Request::query(1, "gzip", "180nm").to_line());
+/// let response = Response::parse(&line)?;
 /// assert!(response.is_ok());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -679,15 +679,11 @@ impl Server {
         }
     }
 
-    /// Handles one raw request line (the transport-independent core).
+    /// Handles one raw request line and returns the response line. Safe
+    /// to call from any number of threads at once.
     #[must_use]
     pub fn handle_line(&self, line: &str) -> String {
         self.state.handle_line(line)
-    }
-
-    /// Shared state handle for transports.
-    pub(crate) fn state(&self) -> Arc<ServerState> {
-        Arc::clone(&self.state)
     }
 
     /// Current server counters (same numbers the `metrics` endpoint
@@ -695,12 +691,6 @@ impl Server {
     #[must_use]
     pub fn stats(&self) -> ServerStats {
         self.state.stats.snapshot()
-    }
-
-    /// Current cache counters.
-    #[must_use]
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.state.cache.stats()
     }
 
     /// Stops accepting work, drains in-flight batches, and joins the
@@ -779,6 +769,28 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_errors_and_the_server_keeps_serving() {
+        let server = Server::start(test_engine(), tiny_options());
+        // An unbounded recursive-descent parser overflows a 2 MB stack
+        // long before 100,000 levels, which aborts the whole process.
+        let hostile = "[".repeat(100_000);
+        let line = std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn_scoped(scope, || server.handle_line(&hostile))
+                .unwrap()
+                .join()
+                .unwrap()
+        });
+        let response = Response::parse(&line).unwrap();
+        assert_eq!(response.status, STATUS_ERROR);
+        assert!(response.error.unwrap().contains("nesting"));
+        let pong = Response::parse(&server.handle_line(&Request::ping(2).to_line())).unwrap();
+        assert!(pong.is_ok());
+        assert_eq!(server.stats().executions, 0);
+    }
+
+    #[test]
     fn oversized_what_ifs_error_promptly_and_the_server_keeps_serving() {
         let server = Server::start(test_engine(), tiny_options());
         let base = Request::query(1, "gzip", "180nm");
@@ -793,17 +805,16 @@ mod tests {
         for (request, field) in [(too_long, "instructions"), (too_many, "trace_repeats")] {
             // An unbounded request would pin the worker, so wait for the
             // answer on a deadline instead of blocking the test forever.
-            let client = server.connect();
+            let state = Arc::clone(&server.state);
             let (tx, rx) = std::sync::mpsc::channel();
             let caller =
-                std::thread::spawn(move || tx.send(client.request_line(&request.to_line())));
+                std::thread::spawn(move || tx.send(state.handle_line(&request.to_line())));
             let Ok(line) = rx.recv_timeout(std::time::Duration::from_secs(10)) else {
                 // The worker is pinned: dropping the server would join it.
                 std::mem::forget(server);
                 panic!("an oversized `{field}` request must be rejected promptly");
             };
             caller.join().expect("caller thread completes").unwrap();
-            let line = line.expect("server answers");
             let response = Response::parse(&line).unwrap();
             assert_eq!(response.status, STATUS_ERROR);
             let error = response.error.unwrap();

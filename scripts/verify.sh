@@ -2,8 +2,8 @@
 # Tier-1 verification: build + full test suite with a locked dependency
 # graph, a run of every example, static analysis, the determinism matrix at two RAMP_THREADS
 # values, the paper-headline bands on the full-length study, the
-# obs/trace/alloc/bench/fleet/serve smokes, and a short run
-# of every benchmark workload.
+# obs/trace/alloc/bench/fleet smokes, the serve contract test, and a
+# short run of every benchmark workload.
 #
 # Usage: scripts/verify.sh
 # Exits non-zero on the first failure.
@@ -122,14 +122,12 @@ cargo run --release --locked -p ramp-bench --bin fleet -- \
     --chips 50000 --assert-deterministic \
     --out target/fleet-population.json
 
-echo "== serve smoke: coalescing, cache, and admission contract =="
-# Mixed query batch from concurrent in-process clients: exactly one
-# pipeline execution per unique (benchmark, node) combo, everything else
-# coalesced or cache-served, nothing shed, replays byte-identical. The
-# metrics body lands in target/ for inspection and CI artifact upload.
-cargo run --release --locked -p ramp-bench --bin serve_load -- \
-    --assert --queries 48 --unique 4 --clients 8 \
-    --out target/serve-metrics.json
+echo "== serve contract: coalescing and cache under concurrent load =="
+# crates/serve/tests/contract.rs: concurrent client threads query
+# Server::handle_line; exactly one pipeline execution per distinct
+# (benchmark, node) pair, everything else coalesced or cache-served,
+# nothing shed, replays byte-identical.
+cargo test --release --locked -q -p ramp-serve --test contract
 
 echo "== benchmark smoke: every workload builds, runs and checks its output =="
 # The repo benchmark (benchmark/, see BENCHMARK.json) is a separate

@@ -247,7 +247,7 @@ fn products(threads: usize, fleet: &QueryEngine) -> [String; 3] {
     let population = run_fleet(fleet, &config).unwrap().population_json();
     let server = Server::start(serve_engine(), serve_options(threads));
     let line = Request::query(11, "gzip", "90nm").to_line();
-    let response = server.connect().request_line(&line).unwrap();
+    let response = server.handle_line(&line);
     [study, population, response]
 }
 
@@ -672,16 +672,12 @@ fn identical_concurrent_queries_cost_exactly_one_execution() {
     let obs_before = executions_counter();
     let server = Server::start(serve_engine(), serve_options(2));
 
-    // Eight clients, each its own connection, all issuing the same line
-    // (same id, so the full response envelope must match byte for byte).
+    // Eight client threads, all issuing the same line (same id, so the
+    // full response envelope must match byte for byte).
     let line = Request::query(7, "gzip", "65nm (1.0V)").to_line();
     let responses: Vec<String> = std::thread::scope(|scope| {
         (0..8)
-            .map(|_| {
-                let client = server.connect();
-                let line = line.clone();
-                scope.spawn(move || client.request_line(&line).expect("server answers"))
-            })
+            .map(|_| scope.spawn(|| server.handle_line(&line)))
             .collect::<Vec<_>>()
             .into_iter()
             .map(|handle| handle.join().expect("client thread completes"))
@@ -723,16 +719,15 @@ fn identical_concurrent_queries_cost_exactly_one_execution() {
 fn cached_replays_skip_the_executor() {
     let _guard = obs_lock();
     let server = Server::start(serve_engine(), serve_options(2));
-    let client = server.connect();
 
     let line = Request::query(3, "gzip", "130nm").to_line();
-    let first = client.request_line(&line).unwrap();
+    let first = server.handle_line(&line);
     assert!(Response::parse(&first).unwrap().is_ok());
     assert_eq!(server.stats().executions, 1);
 
     let obs_before = executions_counter();
     for _ in 0..5 {
-        let replay = client.request_line(&line).unwrap();
+        let replay = server.handle_line(&line);
         assert_eq!(replay, first, "cache replays must be byte-identical");
     }
     let stats = server.stats();
@@ -758,12 +753,11 @@ fn uncoalesced_reexecutions_stay_byte_identical() {
             ..ServeOptions::default()
         },
     );
-    let client = server.connect();
     let line = Request::query(5, "gzip", "180nm").to_line();
-    let first = client.request_line(&line).unwrap();
+    let first = server.handle_line(&line);
     assert!(Response::parse(&first).unwrap().is_ok());
     for _ in 0..2 {
-        let again = client.request_line(&line).unwrap();
+        let again = server.handle_line(&line);
         assert_eq!(again, first, "re-executions must be byte-identical");
     }
     let stats = server.stats();
